@@ -5,7 +5,11 @@ optionally cross-checks against the global oracle, and writes a CSV
 report, per-cell JSON solution dumps, and static SVG plots.
 
 Exit codes: 0 all claims verified, 2 count anomaly, 3 sign anomaly,
-4 oracle disagreement.
+4 oracle disagreement, 5 cells that raised an error (and no other
+anomaly).  A cell whose solve raises NearDegenerateError or
+OracleInconclusiveError, or whose seed's field raises
+DegenerateFieldError, still gets its report row, with nan in every
+computed column; the sweep goes on.
 """
 
 from __future__ import annotations
@@ -21,13 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .background import field_to_json, make_background
+from .background import DegenerateFieldError, field_to_json, make_background
 from .instanton import TwoPointConfig
 from .linalg3 import StratumTag, classify_stratum
-from .rank_one import OutcomeKind, oracle_rank_one, solve_rank_one
+from .rank_one import OracleInconclusiveError, OutcomeKind, oracle_rank_one, solve_rank_one
 from .rotations import rotation_distance, sample_rotation
 from .solver import (
     ORIENTATION_CONVENTION,
+    NearDegenerateError,
     SolverConfig,
     compare_solution_sets,
     enumerate_solutions,
@@ -102,6 +107,10 @@ class ExperimentReport:
     def oracle_anomaly(self) -> bool:
         return any(a.startswith("oracle") for a in self.anomalies)
 
+    @property
+    def error_anomaly(self) -> bool:
+        return any(a.startswith("error") for a in self.anomalies)
+
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -122,6 +131,13 @@ def _record_doc(rec) -> dict:
     }
 
 
+def _error_row(seed: int, L: float, alpha: float, wall_ms) -> dict:
+    """Report row of a cell that raised: nan wherever nothing was computed."""
+    row = {c: float("nan") for c in CSV_COLUMNS}
+    row.update(seed=seed, L=L, alpha=alpha, wall_ms=wall_ms)
+    return row
+
+
 def run(spec: ExperimentSpec) -> ExperimentReport:
     """Execute the sweep; deterministic in the experiment settings (wall_ms aside)."""
     out = spec.out_dir
@@ -132,26 +148,38 @@ def run(spec: ExperimentSpec) -> ExperimentReport:
     rows: list[dict] = []
     anomalies: list[str] = []
     for seed in spec.seeds:
-        bg = make_background(seed, degree=spec.degree, amplitude=spec.amplitude, check_points=check_points)
+        try:
+            bg = make_background(seed, degree=spec.degree, amplitude=spec.amplitude, check_points=check_points)
+        except DegenerateFieldError as exc:
+            for L in spec.L_values:
+                anomalies.append(f"error at seed={seed} L={_fmt(L)}: {type(exc).__name__}: {exc}")
+                rows.append(_error_row(seed, L, spec.alpha, float("nan")))
+            continue
         for l_index, L in enumerate(spec.L_values):
             cfg = TwoPointConfig(L)
+            cell = f"seed={seed} L={_fmt(L)}"
             t0 = time.perf_counter()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                records = enumerate_solutions(bg, cfg, sc)
-                oracle_flag = "na"
-                oracle_diffs: list[str] = []
-                if spec.oracle:
-                    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(l_index, 0xA11CE)))
-                    oracle_records = oracle_enumerate(bg, cfg, sc, n_starts=spec.oracle_starts, rng=rng)
-                    oracle_diffs = compare_solution_sets(records, oracle_records)
-                    oracle_flag = "1" if not oracle_diffs else "0"
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    records = enumerate_solutions(bg, cfg, sc)
+                    oracle_flag = "na"
+                    oracle_diffs: list[str] = []
+                    if spec.oracle:
+                        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(l_index, 0xA11CE)))
+                        oracle_records = oracle_enumerate(bg, cfg, sc, n_starts=spec.oracle_starts, rng=rng)
+                        oracle_diffs = compare_solution_sets(records, oracle_records)
+                        oracle_flag = "1" if not oracle_diffs else "0"
+            except (NearDegenerateError, OracleInconclusiveError) as exc:
+                wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
+                anomalies.append(f"error at {cell}: {type(exc).__name__}: {exc}")
+                rows.append(_error_row(seed, L, spec.alpha, wall_ms))
+                continue
             wall_ms = int(round(1000.0 * (time.perf_counter() - t0)))
 
             counts = {p: sum(1 for r in records if r.pairing == p) for p in ((1, 1), (1, 2), (2, 1), (2, 2))}
             signs_ok = bool(records) and all(r.sign == 1 for r in records)
             ratios = [r.lambda_over_L2 for r in records]
-            cell = f"seed={seed} L={_fmt(L)}"
             if len(records) != 6 or counts != {(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}:
                 anomalies.append(f"count anomaly at {cell}: total={len(records)} breakdown={counts}")
             if not signs_ok:
@@ -223,8 +251,8 @@ def _line_chart(path: Path, title: str, xlabel: str, ylabel: str, series: list[t
     mleft, mright, mtop, mbottom = 70, 20, 36, 48
     xs_all = [x for _, xs, _ in series for x in xs]
     ys_all = [y for _, _, ys in series for y in ys]
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
+    x0, x1 = min(xs_all, default=0.0), max(xs_all, default=0.0)
+    y0, y1 = min(ys_all, default=0.0), max(ys_all, default=0.0)
     if x1 == x0:
         x0, x1 = x0 - 0.5, x1 + 0.5
     if y1 == y0:
@@ -284,8 +312,11 @@ def _read_csv(csv_path: Path) -> list[dict]:
 
 
 def plots_from_csv(csv_path: Path, out_dir: Path) -> list[Path]:
-    """Regenerate the three report figures from the CSV alone."""
-    rows = _read_csv(csv_path)
+    """Regenerate the three report figures from the CSV alone.
+
+    Rows of cells that raised an error (count nan) are left out.
+    """
+    rows = [r for r in _read_csv(csv_path) if r["count"] != "nan"]
     seeds = sorted({int(r["seed"]) for r in rows})
     written: list[Path] = []
 
@@ -325,7 +356,9 @@ def plots_from_csv(csv_path: Path, out_dir: Path) -> list[Path]:
             f'<text x="20" y="{58 + 18 * i}" font-family="monospace" font-size="11">seed {seed}</text>'
         )
         for j, L in enumerate(ls):
-            row = next(r for r in rows if int(r["seed"]) == seed and float(r["L"]) == L)
+            row = next((r for r in rows if int(r["seed"]) == seed and float(r["L"]) == L), None)
+            if row is None:
+                continue
             glyph = "+" if row["signs_ok"] == "1" else "!"
             color = "#2e8540" if glyph == "+" else "#c23b22"
             parts.append(
@@ -464,6 +497,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     if report.oracle_anomaly:
         return 4
+    if report.error_anomaly:
+        return 5
     print(f"report: {report.csv_path}")
     return 0
 

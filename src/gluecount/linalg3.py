@@ -87,9 +87,21 @@ def adjugate3(m: np.ndarray) -> np.ndarray:
     matrices of rank <= 1, which makes it a smooth rank-one residual.
     """
     m = np.asarray(m, dtype=float)
-    c0, c1, c2 = m[..., :, 0], m[..., :, 1], m[..., :, 2]
-    rows = np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=-2)
-    return rows
+    m00, m01, m02 = m[..., 0, 0], m[..., 0, 1], m[..., 0, 2]
+    m10, m11, m12 = m[..., 1, 0], m[..., 1, 1], m[..., 1, 2]
+    m20, m21, m22 = m[..., 2, 0], m[..., 2, 1], m[..., 2, 2]
+    # row k is the cross product of the other two columns, in cyclic order
+    adj = np.empty(m.shape)
+    adj[..., 0, 0] = m11 * m22 - m21 * m12
+    adj[..., 0, 1] = m21 * m02 - m01 * m22
+    adj[..., 0, 2] = m01 * m12 - m11 * m02
+    adj[..., 1, 0] = m12 * m20 - m22 * m10
+    adj[..., 1, 1] = m22 * m00 - m02 * m20
+    adj[..., 1, 2] = m02 * m10 - m12 * m00
+    adj[..., 2, 0] = m10 * m21 - m20 * m11
+    adj[..., 2, 1] = m20 * m01 - m00 * m21
+    adj[..., 2, 2] = m00 * m11 - m10 * m01
+    return adj
 
 
 def _orthonormal_completion(cols: list[np.ndarray]) -> list[np.ndarray]:

@@ -196,6 +196,21 @@ def _gauss_newton_quats(p: np.ndarray, s: float, quats: np.ndarray, iters: int, 
     return g
 
 
+def _greedy_representatives(mats: np.ndarray, angle: float) -> list[int]:
+    """Indices of the rotations kept by a greedy dedupe in the given order.
+
+    A rotation is kept when it lies at least `angle` from every rotation
+    kept before it; one batched distance per kept rotation marks the rest.
+    """
+    far = np.ones(mats.shape[0], dtype=bool)
+    keep: list[int] = []
+    while np.any(far):
+        k = int(np.argmax(far))
+        keep.append(k)
+        far &= rotation_distance(mats, mats[k]) >= angle
+    return keep
+
+
 def oracle_rank_one(
     p: np.ndarray,
     n_starts: int = 1000,
@@ -231,12 +246,8 @@ def oracle_rank_one(
         sign = np.where(good[:, 0] != 0.0, np.sign(good[:, 0]), 1.0)
         good = good * sign[:, None]
         good = good[np.lexsort(good.T[::-1])]
-        rep_mats: list[np.ndarray] = []
         mats = quat_to_rotation(good)
-        for k in range(good.shape[0]):
-            if all(rotation_distance(mats[k], rm) >= ORACLE_DEDUPE_ANGLE for rm in rep_mats):
-                rep_mats.append(mats[k])
-        for m in rep_mats:
+        for m in mats[_greedy_representatives(mats, ORACLE_DEDUPE_ANGLE)]:
             residual = float(batched_singular_values(p + s * m)[1])
             if residual <= RESIDUAL_FACTOR * s1:
                 pairs.append(RankOnePair(s=s, m=m, residual=residual))

@@ -22,17 +22,14 @@ def quat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a*b, broadcasting over leading axes."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    aw, ax, ay, az = np.moveaxis(a, -1, 0)
-    bw, bx, by, bz = np.moveaxis(b, -1, 0)
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    out[..., 0] = aw * bw - ax * bx - ay * by - az * bz
+    out[..., 1] = aw * bx + ax * bw + ay * bz - az * by
+    out[..., 2] = aw * by - ax * bz + ay * bw + az * bx
+    out[..., 3] = aw * bz + ax * by - ay * bx + az * bw
+    return out
 
 
 def quat_conj(a: np.ndarray) -> np.ndarray:
@@ -56,14 +53,22 @@ def quat_normalize(a: np.ndarray) -> np.ndarray:
 
 def unit_quat_to_rotation(g: np.ndarray) -> np.ndarray:
     """Covering-map kernel for already-unit quaternions (no guard, NaN passes through)."""
-    w, x, y, z = np.moveaxis(np.asarray(g, dtype=float), -1, 0)
+    g = np.asarray(g, dtype=float)
+    w, x, y, z = g[..., 0], g[..., 1], g[..., 2], g[..., 3]
     xx, yy, zz = x * x, y * y, z * z
     wx, wy, wz = w * x, w * y, w * z
     xy, xz, yz = x * y, x * z, y * z
-    row0 = np.stack([1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)], axis=-1)
-    row1 = np.stack([2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)], axis=-1)
-    row2 = np.stack([2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)], axis=-1)
-    return np.stack([row0, row1, row2], axis=-2)
+    r = np.empty(g.shape[:-1] + (3, 3))
+    r[..., 0, 0] = 1.0 - 2.0 * (yy + zz)
+    r[..., 0, 1] = 2.0 * (xy - wz)
+    r[..., 0, 2] = 2.0 * (xz + wy)
+    r[..., 1, 0] = 2.0 * (xy + wz)
+    r[..., 1, 1] = 1.0 - 2.0 * (xx + zz)
+    r[..., 1, 2] = 2.0 * (yz - wx)
+    r[..., 2, 0] = 2.0 * (xz - wy)
+    r[..., 2, 1] = 2.0 * (yz + wx)
+    r[..., 2, 2] = 1.0 - 2.0 * (xx + yy)
+    return r
 
 
 def quat_to_rotation(g: np.ndarray) -> np.ndarray:
@@ -148,11 +153,15 @@ def rotation_to_quat_pair(r: np.ndarray, tol: float = 1e-6) -> tuple[np.ndarray,
 
 
 def rotation_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Geodesic angle in [0, pi] between two rotations (batched)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = 0.5 * (np.sum(a * b, axis=(-2, -1)) - 1.0)
-    return np.arccos(np.clip(c, -1.0, 1.0))
+    """Geodesic angle in [0, pi] between two rotations (batched).
+
+    Uses ||a - b||_F = 2 sqrt(2) sin(theta / 2), which keeps full relative
+    precision for small angles, where arccos of the trace cannot resolve
+    anything below ~1e-8.
+    """
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    chord = np.sqrt(np.sum(d * d, axis=(-2, -1))) / (2.0 * np.sqrt(2.0))
+    return 2.0 * np.arcsin(np.minimum(chord, 1.0))
 
 
 def rotation_angle(r: np.ndarray) -> np.ndarray:

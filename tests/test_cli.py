@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from gluecount import cli
+from gluecount.background import DegenerateFieldError
 from gluecount.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -111,3 +113,34 @@ def test_lemma_suite_small(capsys):
     assert all(results.values())
     out = capsys.readouterr().out
     assert out.count("PASS") == 5
+
+
+def test_exit_code_error_cell(tmp_path):
+    # this field's orientation determinant at L=0.05 falls below the
+    # transversality floor: the cell raises NearDegenerateError
+    out = tmp_path / "err"
+    code = main(["run", "--seeds", "198801500", "--L", "0.05", "--out", str(out)])
+    assert code == 5
+    lines = (out / "report.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    row = dict(zip(CSV_COLUMNS, lines[1].split(",")))
+    assert row["seed"] == "198801500" and row["count"] == "nan" and row["signs_ok"] == "nan"
+    diag = (out / "diagnostics.txt").read_text().splitlines()
+    assert len(diag) == 1
+    assert diag[0].startswith("error at seed=198801500 L=0.05") and "NearDegenerateError" in diag[0]
+
+
+def test_degenerate_field_keeps_sweep_going(tmp_path, monkeypatch):
+    make_background = cli.make_background
+
+    def refuse_seed_2(seed, **kwargs):
+        if seed == 2:
+            raise DegenerateFieldError("no generic field")
+        return make_background(seed, **kwargs)
+
+    monkeypatch.setattr(cli, "make_background", refuse_seed_2)
+    report = run(small_spec(tmp_path / "out", L_values=(0.1,)))
+    assert [row["count"] for row in report.rows][0] == 6
+    assert report.error_anomaly and not report.count_anomaly
+    assert report.anomalies == ("error at seed=2 L=0.10000000000000001: DegenerateFieldError: no generic field",)
+    assert report.csv_path.read_text().splitlines()[2].startswith("2,0.10000000000000001,1,nan,")

@@ -155,3 +155,20 @@ def test_adjugate_vanishes_on_rank_one():
     rng = np.random.default_rng(9)
     w, z = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
     assert np.max(np.abs(adjugate3(np.outer(w, z)))) < 1e-15
+
+
+def reference_adjugate(m):
+    # the np.cross form that adjugate3 replaced, kept as its bitwise reference
+    c0, c1, c2 = m[..., :, 0], m[..., :, 1], m[..., :, 2]
+    return np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=-2)
+
+
+def test_adjugate_matches_cross_product_reference():
+    rng = np.random.default_rng(10)
+    ms = rng.uniform(-2, 2, (500, 3, 3))
+    ms[7, 1, 2] = np.nan
+    for m in (ms, ms.reshape(50, 10, 3, 3), ms[0], ms[7]):
+        got = adjugate3(m)
+        assert got.shape == m.shape
+        assert np.array_equal(got, reference_adjugate(m), equal_nan=True)
+    assert np.isnan(adjugate3(ms[7])).any()

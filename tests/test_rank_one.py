@@ -5,13 +5,23 @@ from hypothesis import strategies as st
 
 from gluecount.linalg3 import StratumTag, classify_stratum, sigma2, singular_values
 from gluecount.rank_one import (
+    ORACLE_DEDUPE_ANGLE,
     OracleInconclusiveError,
     OutcomeKind,
+    _greedy_representatives,
     oracle_rank_one,
     solve_rank_one,
     solve_rank_one_reduced,
 )
-from gluecount.rotations import is_rotation, rotation_distance, sample_rotation
+from gluecount.rotations import (
+    is_rotation,
+    quat_from_rotation_vector,
+    quat_mul,
+    quat_to_rotation,
+    rotation_distance,
+    sample_rotation,
+    sample_unit_quaternion,
+)
 
 
 def random_generic(rng):
@@ -192,3 +202,25 @@ def test_oracle_inconclusive_on_double_root():
 def test_oracle_rejects_rank_deficient():
     with pytest.raises(ValueError):
         oracle_rank_one(np.outer([1.0, 2.0, 3.0], [0.5, -1.0, 2.0]), 1000, np.random.default_rng(7))
+
+
+def reference_dedupe(mats, angle):
+    # the pairwise loop that the one-pass dedupe replaced
+    keep = []
+    for k in range(mats.shape[0]):
+        if all(rotation_distance(mats[k], mats[j]) >= angle for j in keep):
+            keep.append(k)
+    return keep
+
+
+@pytest.mark.parametrize("spread", [0.5, 2.0])
+def test_one_pass_dedupe_matches_pairwise_loop(spread):
+    # starts scattered within spread * ORACLE_DEDUPE_ANGLE of four centres
+    rng = np.random.default_rng(13)
+    centres = sample_unit_quaternion(rng, 4)
+    offsets = rng.standard_normal((300, 3))
+    offsets *= spread * ORACLE_DEDUPE_ANGLE * rng.uniform(0.0, 1.0, (300, 1)) / np.linalg.norm(offsets, axis=1, keepdims=True)
+    mats = quat_to_rotation(quat_mul(centres[rng.integers(0, 4, 300)], quat_from_rotation_vector(offsets)))
+    keep = _greedy_representatives(mats, ORACLE_DEDUPE_ANGLE)
+    assert keep == reference_dedupe(mats, ORACLE_DEDUPE_ANGLE)
+    assert len(keep) == 4 if spread < 1.0 else len(keep) > 4

@@ -14,9 +14,11 @@ from gluecount.rotations import (
     quat_to_rotation,
     rotation_angle,
     rotation_distance,
+    rotation_exp,
     rotation_to_quat_pair,
     sample_rotation,
     sample_unit_quaternion,
+    unit_quat_to_rotation,
 )
 
 I = np.array([0.0, 1.0, 0.0, 0.0])
@@ -159,3 +161,59 @@ def test_conj_involution():
     rng = np.random.default_rng(9)
     q = rng.uniform(-1, 1, (10, 4))
     assert np.array_equal(quat_conj(quat_conj(q)), q)
+
+
+def test_rotation_distance_resolves_small_angles():
+    rng = np.random.default_rng(10)
+    r = sample_rotation(rng)
+    axis = rng.standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    eps = 10.0 ** -np.arange(2.0, 13.0)
+    d = rotation_distance(r, r @ rotation_exp(eps[:, None] * axis))
+    assert np.all(np.abs(d - eps) <= 1e-3 * eps)
+
+
+# The np.moveaxis / np.stack forms that quat_mul and unit_quat_to_rotation
+# replaced, kept as their bitwise references.
+def reference_quat_mul(a, b):
+    aw, ax, ay, az = np.moveaxis(a, -1, 0)
+    bw, bx, by, bz = np.moveaxis(b, -1, 0)
+    return np.stack(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ],
+        axis=-1,
+    )
+
+
+def reference_unit_quat_to_rotation(g):
+    w, x, y, z = np.moveaxis(g, -1, 0)
+    xx, yy, zz = x * x, y * y, z * z
+    wx, wy, wz = w * x, w * y, w * z
+    xy, xz, yz = x * y, x * z, y * z
+    row0 = np.stack([1.0 - 2.0 * (yy + zz), 2.0 * (xy - wz), 2.0 * (xz + wy)], axis=-1)
+    row1 = np.stack([2.0 * (xy + wz), 1.0 - 2.0 * (xx + zz), 2.0 * (yz - wx)], axis=-1)
+    row2 = np.stack([2.0 * (xz - wy), 2.0 * (yz + wx), 1.0 - 2.0 * (xx + yy)], axis=-1)
+    return np.stack([row0, row1, row2], axis=-2)
+
+
+def test_quaternion_kernels_match_stack_reference():
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((300, 4))
+    b = rng.standard_normal((300, 4))
+    a[5] = np.nan
+    b[9, 2] = np.nan
+    for x, y in ((a, b), (a[0], b), (a[:20, None, :], b[:30]), (a[0], b[1])):
+        got = quat_mul(x, y)
+        want = reference_quat_mul(x, y)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+    g = sample_unit_quaternion(rng, 300)
+    g[5] = np.nan
+    for x in (g, g.reshape(30, 10, 4), g[0], g[5]):
+        got = unit_quat_to_rotation(x)
+        assert got.shape == x.shape[:-1] + (3, 3)
+        assert np.array_equal(got, reference_unit_quat_to_rotation(x), equal_nan=True)
