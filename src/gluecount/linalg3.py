@@ -108,7 +108,8 @@ def _orthonormal_completion(cols: list[np.ndarray]) -> list[np.ndarray]:
     """Extend a (possibly empty) orthonormal list to a basis of R^3.
 
     Candidate axes are tried in a fixed order, so the completion is
-    deterministic.
+    deterministic.  Gram-Schmidt runs twice: one pass against a nearly
+    parallel basis vector leaves an error of order eps / |candidate|.
     """
     basis = [c.copy() for c in cols]
     for k in range(3):
@@ -116,8 +117,9 @@ def _orthonormal_completion(cols: list[np.ndarray]) -> list[np.ndarray]:
             break
         cand = np.zeros(3)
         cand[k] = 1.0
-        for b in basis:
-            cand -= (b @ cand) * b
+        for _ in range(2):
+            for b in basis:
+                cand -= (b @ cand) * b
         n = np.linalg.norm(cand)
         if n > 1e-7:
             basis.append(cand / n)

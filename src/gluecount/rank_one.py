@@ -149,7 +149,8 @@ def _gauss_newton_quats(p: np.ndarray, s: float, quats: np.ndarray, iters: int, 
     """Damped Gauss-Newton over the rotation group, vectorized over starts.
 
     Converged starts drop out of the active batch, so late iterations only
-    pay for the stragglers.
+    pay for the stragglers.  The defect rows of accepted line-search trials
+    are kept, so each iterate's residual is evaluated once.
     """
     g = quats.copy()
     active = np.arange(g.shape[0])
@@ -162,7 +163,7 @@ def _gauss_newton_quats(p: np.ndarray, s: float, quats: np.ndarray, iters: int, 
         if active.size == 0:
             break
         ga = g[active]
-        ra = _rank_one_defect(p, s, ga)
+        ra = r[active]
         ran = np.linalg.norm(ra, axis=-1)
         n = active.size
         jac = np.empty((n, 9, 3))
@@ -177,19 +178,23 @@ def _gauss_newton_quats(p: np.ndarray, s: float, quats: np.ndarray, iters: int, 
         step = np.ones(n)
         improved = np.zeros(n, dtype=bool)
         g_new = ga.copy()
+        r_new = ra.copy()
         rn_new = ran.copy()
         for _ in range(6):
             trial = quat_mul(ga, quat_from_rotation_vector(step[:, None] * delta))
-            rtn = np.linalg.norm(_rank_one_defect(p, s, trial), axis=-1)
+            rt = _rank_one_defect(p, s, trial)
+            rtn = np.linalg.norm(rt, axis=-1)
             take = (rtn < ran) & ~improved
             if np.any(take):
                 g_new[take] = trial[take]
+                r_new[take] = rt[take]
                 rn_new[take] = rtn[take]
                 improved |= take
             if np.all(improved):
                 break
             step = np.where(improved, step, step * 0.5)
         g[active] = g_new
+        r[active] = r_new
         rnorm[active] = rn_new
         # drop converged starts and stalled ones that cannot improve
         active = active[improved & (rn_new > 1e-15)]

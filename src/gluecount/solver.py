@@ -317,12 +317,39 @@ def _build_record(
     )
 
 
+def _greedy_dedupe(
+    pairs: np.ndarray, centers: np.ndarray, scales: np.ndarray, angles: np.ndarray, radius: float
+) -> list[int]:
+    """Indices of the rows kept by a greedy dedupe in the given order.
+
+    A row is kept when its joint distance (the largest of the center
+    inf-norm difference, |delta scale| and the rotation distance) to every
+    earlier kept row of the same pairing is at least radius.  One batched
+    distance per kept row, over the undecided rows of its pairing, marks
+    the rest.
+    """
+    far = np.ones(len(scales), dtype=bool)
+    keep: list[int] = []
+    while np.any(far):
+        k = int(np.argmax(far))
+        keep.append(k)
+        far[k] = False
+        rows = np.flatnonzero(far & np.all(pairs == pairs[k], axis=1))
+        dist = np.maximum(np.max(np.abs(centers[rows] - centers[k]), axis=1), np.abs(scales[rows] - scales[k]))
+        dist = np.maximum(dist, rotation_distance(angles[rows], angles[k]))
+        far[rows[dist < radius]] = False
+    return keep
+
+
 def _dedupe_records(records: list[SolutionRecord], radius: float) -> list[SolutionRecord]:
-    kept: list[SolutionRecord] = []
-    for rec in records:
-        if all(rec.joint_distance(other) >= radius for other in kept if other.pairing == rec.pairing):
-            kept.append(rec)
-    return kept
+    keep = _greedy_dedupe(
+        np.array([r.pairing for r in records]),
+        np.array([r.gluing.center for r in records]),
+        np.array([r.gluing.scale for r in records]),
+        np.array([r.gluing.angle for r in records]),
+        radius,
+    )
+    return [records[k] for k in keep]
 
 
 def _sorted_records(records: list[SolutionRecord]) -> list[SolutionRecord]:
@@ -425,24 +452,33 @@ class DefectChart:
         return (self.u_frame.T @ f @ self.v_frame).reshape(4)
 
 
-def _complement_frame(top: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of top^perp via Gram-Schmidt against the two
-    standard axes least aligned with top (stable order, deterministic)."""
-    order = np.argsort(np.abs(top), kind="stable")
-    cols = []
-    for axis_index in order[:2]:
-        e = np.zeros(3)
-        e[axis_index] = 1.0
-        e -= (top @ e) * top
-        for c in cols:
-            e -= (c @ e) * c
-        cols.append(e / np.linalg.norm(e))
-    return np.column_stack(cols)
+def _batched_frames(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complement frames of the top singular vectors for a (n, 3, 3) stack.
+
+    Each frame is the Gram-Schmidt basis of top^perp built from the two
+    standard axes least aligned with top (stable order, deterministic).
+    """
+    u, _, vh = np.linalg.svd(mats)
+    tops = (u[:, :, 0], vh[:, 0, :])
+    frames = []
+    for top in tops:
+        order = np.argsort(np.abs(top), axis=1, kind="stable")
+        cols = []
+        for slot in range(2):
+            e = np.zeros_like(top)
+            np.put_along_axis(e, order[:, slot : slot + 1], 1.0, axis=1)
+            e = e - np.sum(top * e, axis=1, keepdims=True) * top
+            for c in cols:
+                e = e - np.sum(c * e, axis=1, keepdims=True) * c
+            e = e / np.linalg.norm(e, axis=1, keepdims=True)
+            cols.append(e)
+        frames.append(np.stack(cols, axis=-1))
+    return frames[0], frames[1]
 
 
 def build_defect_chart(f: np.ndarray) -> DefectChart:
-    u, _, vh = np.linalg.svd(np.asarray(f, dtype=float))
-    return DefectChart(u_frame=_complement_frame(u[:, 0]), v_frame=_complement_frame(vh[0, :]))
+    u_frames, v_frames = _batched_frames(np.asarray(f, dtype=float)[None])
+    return DefectChart(u_frame=u_frames[0], v_frame=v_frames[0])
 
 
 def orientation_sign(
@@ -533,38 +569,179 @@ def reference_case(L: float, s: float = 1.0) -> tuple[BackgroundField, TwoPointC
 # ---------------------------------------------------------------------------
 # global 8-dimensional oracle
 
-
-def _batched_frames(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Complement frames of the top singular vectors for a (n, 3, 3) stack."""
-    u, _, vh = np.linalg.svd(mats)
-    tops = (u[:, :, 0], vh[:, 0, :])
-    frames = []
-    for top in tops:
-        order = np.argsort(np.abs(top), axis=1, kind="stable")
-        cols = []
-        for slot in range(2):
-            e = np.zeros_like(top)
-            np.put_along_axis(e, order[:, slot : slot + 1], 1.0, axis=1)
-            e = e - np.sum(top * e, axis=1, keepdims=True) * top
-            for c in cols:
-                e = e - np.sum(c * e, axis=1, keepdims=True) * c
-            e = e / np.linalg.norm(e, axis=1, keepdims=True)
-            cols.append(e)
-        frames.append(np.stack(cols, axis=-1))
-    return frames[0], frames[1]
+# -[e_k]_x for k = 1, 2, 3.  Under the right chart angle -> angle @ exp([xi]_x)
+# the bubble term angle^T R(u) moves by -[xi]_x angle^T R(u) to first order.
+_ROTATION_GENERATORS = -np.array(
+    [
+        [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]],
+        [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
+    ]
+)
 
 
-def _oracle_residual(field_values, cfg, y, loglam, quats, frames):
-    """Stacked 2x2 defect blocks (n, 8) in the supplied fixed frames."""
-    (up, vp), (uq, vq) = frames
-    angles = unit_quat_to_rotation(quats)
+def _oracle_starts(cfg, sc, td, rng, n):
+    """n random (centers, log scales, angle quaternions) over the admissible region.
+
+    Scale log-uniform over the admissible window, angle Haar; half the
+    centers uniform over the admissible ball, half on the magnitude-
+    feasible shell of their sampled scale, so that roots at every
+    admissible scale (down to L^2 near the midpoint) get seeded.  The
+    rotation structure, where the actual counting happens, stays blind.
+    """
+    cutoff = sc.K * cfg.L**sc.alpha
+    radius = admissible_radius(cfg, sc, td.s_p, td.s_q)
+    loglam = rng.uniform(np.log(cfg.L**3), np.log(cutoff), n)
+    quats = sample_unit_quaternion(rng, n)
+    direction = rng.standard_normal((n, 4))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    y = direction * (radius * rng.uniform(0.0, 1.0, (n, 1)) ** 0.25)
+    a, b, beta = _magnitude_coefficients(cfg, td.s_p, td.s_q)
+    lam = np.exp(loglam)
+    shell_sq = b * lam - a * lam * lam - cfg.L**2
+    on_shell = (np.arange(n) % 2 == 0) & (shell_sq > 0.0)
+    dir3 = rng.standard_normal((n, 3))
+    dir3 /= np.linalg.norm(dir3, axis=1, keepdims=True)
+    y[on_shell, 0] = beta * lam[on_shell]
+    y[on_shell, 1:] = dir3[on_shell] * np.sqrt(shell_sq[on_shell])[:, None]
+    return y, loglam, quats
+
+
+def _oracle_glue(field_values, cfg, y, loglam, quats) -> tuple[np.ndarray, np.ndarray]:
+    """Glued curvature matrices (f_p, f_q), each (n, 3, 3), at a stack of states."""
     with np.errstate(over="ignore"):
         lam = np.exp(loglam)
-    f_p = field_values[0] + curvature_arrays(y, lam, angles, cfg.p)
-    f_q = field_values[1] + curvature_arrays(y, lam, angles, cfg.q)
-    block_p = np.swapaxes(up, -1, -2) @ f_p @ vp
-    block_q = np.swapaxes(uq, -1, -2) @ f_q @ vq
+    return _glued_pair(field_values, cfg, y, lam, unit_quat_to_rotation(quats))
+
+
+def _oracle_blocks(frames, glued) -> np.ndarray:
+    """Stacked 2x2 defect blocks (n, 8) of glued matrices in the supplied fixed frames."""
+    (up, vp), (uq, vq) = frames
+    block_p = np.swapaxes(up, -1, -2) @ glued[0] @ vp
+    block_q = np.swapaxes(uq, -1, -2) @ glued[1] @ vq
     return np.concatenate([block_p.reshape(-1, 4), block_q.reshape(-1, 4)], axis=1)
+
+
+def _oracle_advance(y, loglam, quats, delta):
+    """Step a stack of states along (center, log scale, right rotation chart)."""
+    # clamp log-scale so runaway starts cannot overflow exp()
+    return (
+        y + delta[:, :4],
+        np.clip(loglam + delta[:, 4], -600.0, 600.0),
+        quat_mul(quats, quat_from_rotation_vector(delta[:, 5:8])),
+    )
+
+
+def _oracle_jacobian(field_values, cfg, y, loglam, quats, glued, frames, blocks) -> np.ndarray:
+    """(n, 8, 8) Jacobians of the defect blocks in the domain chart.
+
+    The four center columns are forward differences of size 1e-7 L from
+    the base blocks.  With C = glued - F0 the bubble term at a marked
+    point, the log-scale column is 2 (r^2 - lam^2) / (r^2 + lam^2) C and
+    rotation column k is -[e_k]_x C, both projected through the frames.
+    """
+    n = y.shape[0]
+    center_step = 1e-7 * cfg.L
+    jac = np.empty((n, 8, 8))
+    for k in range(4):
+        bumped = y.copy()
+        bumped[:, k] += center_step
+        moved = _oracle_glue(field_values, cfg, bumped, loglam, quats)
+        jac[:, :, k] = (_oracle_blocks(frames, moved) - blocks) / center_step
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam2 = np.exp(loglam) ** 2
+        for rows, point, f0, (u, v), f in zip((slice(0, 4), slice(4, 8)), (cfg.p, cfg.q), field_values, frames, glued):
+            bubble = f - f0
+            ut = np.swapaxes(u, -1, -2)
+            r2 = np.sum((point - y) ** 2, axis=-1)
+            ratio = 2.0 * (r2 - lam2) / (r2 + lam2)
+            jac[:, rows, 4] = ratio[:, None] * (ut @ bubble @ v).reshape(n, 4)
+            for k in range(3):
+                jac[:, rows, 5 + k] = (ut @ (_ROTATION_GENERATORS[k] @ bubble) @ v).reshape(n, 4)
+    return jac
+
+
+def _oracle_descent(field_values, cfg, y, loglam, quats, scale, max_iters):
+    """Damped Gauss-Newton on the stacked defect blocks over a stack of starts.
+
+    The frames are rebuilt at every iterate from its glued matrices; the
+    glued matrices of accepted line-search trials carry over to the next
+    iteration.  Starts drop out once converged (below 1e-13 * scale) or
+    stalled.  Returns the final (y, loglam, quats, residual norms).
+    """
+    y, loglam, quats = y.copy(), loglam.copy(), quats.copy()
+    n = y.shape[0]
+    glued = _oracle_glue(field_values, cfg, y, loglam, quats)
+    rnorm = np.full(n, np.inf)
+    active = np.arange(n)
+    for _ in range(max_iters):
+        if active.size == 0:
+            break
+        ya, la, qa = y[active], loglam[active], quats[active]
+        ga = (glued[0][active], glued[1][active])
+        frames = (_batched_frames(ga[0]), _batched_frames(ga[1]))
+        ra = _oracle_blocks(frames, ga)
+        ran = np.linalg.norm(ra, axis=1)
+        m = active.size
+        jac = _oracle_jacobian(field_values, cfg, ya, la, qa, ga, frames, ra)
+        jtj = jac.transpose(0, 2, 1) @ jac
+        jtr = np.einsum("nik,ni->nk", jac, ra)
+        bad = ~np.all(np.isfinite(jtj), axis=(1, 2))
+        jtj[bad] = np.eye(8)
+        jtr[bad] = 0.0
+        jtj += 1e-14 * np.trace(jtj, axis1=1, axis2=2)[:, None, None] * np.eye(8) + 1e-300 * np.eye(8)
+        delta = -np.linalg.solve(jtj, jtr[..., None])[..., 0]
+        damp = np.ones(m)
+        improved = np.zeros(m, dtype=bool)
+        rn_new = ran.copy()
+        for _ in range(6):
+            yt, lt, qt = _oracle_advance(ya, la, qa, damp[:, None] * delta)
+            gt = _oracle_glue(field_values, cfg, yt, lt, qt)
+            rt = np.linalg.norm(_oracle_blocks(frames, gt), axis=1)
+            rt = np.where(np.isfinite(rt), rt, np.inf)
+            take = (rt < ran) & ~improved
+            if np.any(take):
+                rows = active[take]
+                y[rows], loglam[rows], quats[rows] = yt[take], lt[take], qt[take]
+                glued[0][rows], glued[1][rows] = gt[0][take], gt[1][take]
+                rn_new[take] = rt[take]
+                improved |= take
+            if np.all(improved):
+                break
+            damp = np.where(improved, damp, damp * 0.5)
+        rnorm[active] = rn_new
+        active = active[improved & (rn_new > 1e-13 * scale)]
+    return y, loglam, quats, rnorm
+
+
+def _certified_records(field_values, cfg, sc, td, y, loglam, quats, scale, cutoff) -> list[SolutionRecord]:
+    """Certified, sorted and deduplicated records from a stack of converged states.
+
+    Pairing labels, the full-defect certificate, the ordering and the
+    greedy dedupe all run on the whole stack; only the kept rows become
+    records through _build_record.
+    """
+    lam = np.exp(loglam)
+    mats = unit_quat_to_rotation(quat_normalize(quats))
+    labels = []
+    for point, choices in ((cfg.p, td.m_p), (cfg.q, td.m_q)):
+        seen = np.swapaxes(mats, -1, -2) @ unit_quat_to_rotation(quat_normalize(point - y))
+        labels.append(np.where(rotation_distance(seen, choices[0]) <= rotation_distance(seen, choices[1]), 1, 2))
+    pairs = np.column_stack(labels)
+    f_p, f_q = _glued_pair(field_values, cfg, y, lam, mats)
+    defect = np.maximum(batched_singular_values(f_p)[:, 1], batched_singular_values(f_q)[:, 1])
+    good = np.flatnonzero(defect <= sc.newton_tol * scale)
+    # the _sorted_records key: pairing, scale, center, angle
+    keys = np.column_stack([pairs[good], lam[good], y[good], mats[good].reshape(-1, 9)])
+    rows = good[np.lexsort(keys.T[::-1])]
+    rows = rows[_greedy_dedupe(pairs[rows], y[rows], lam[rows], mats[rows], sc.dedupe_radius)]
+    records = []
+    for k in rows:
+        pairing = (int(pairs[k, 0]), int(pairs[k, 1]))
+        rec = _build_record(field_values, cfg, sc, td, pairing, y[k], float(lam[k]), mats[k], scale, cutoff)
+        if rec is not None:
+            records.append(rec)
+    return records
 
 
 def oracle_enumerate(
@@ -582,8 +759,12 @@ def oracle_enumerate(
 
     Starts are drawn uniformly over the admissible region (center in the
     admissible ball, scale log-uniform in [L^3, K L^alpha], angle Haar)
-    and refined by damped Gauss-Newton with per-iteration defect frames.
-    Certification, deduplication, admissibility filtering and signs match
+    and refined by damped Gauss-Newton with per-iteration defect frames
+    (center Jacobian columns by forward differences, scale and rotation
+    columns in closed form).  The converged starts are then labelled,
+    certified on the full defect, sorted and deduplicated as one stack,
+    so that only the distinct solutions become records.  Certification,
+    deduplication, admissibility filtering and signs match
     enumerate_solutions, so the two solution sets are directly comparable.
     seed_override injects explicit (centers, scales, angle quaternions).
     """
@@ -601,105 +782,14 @@ def oracle_enumerate(
         y = np.asarray(y, dtype=float).reshape(-1, 4)
         loglam = np.log(np.asarray(lam_seed, dtype=float).reshape(-1))
         quats = np.asarray(quats, dtype=float).reshape(-1, 4)
-        n = y.shape[0]
     else:
-        # scale log-uniform over the admissible window, angle Haar; half the
-        # centers uniform over the admissible ball, half on the magnitude-
-        # feasible shell of their sampled scale, so that roots at every
-        # admissible scale (down to L^2 near the midpoint) get seeded.  The
-        # rotation structure, where the actual counting happens, stays blind.
-        n = n_starts
-        radius = admissible_radius(cfg, sc, td.s_p, td.s_q)
-        loglam = rng.uniform(np.log(cfg.L**3), np.log(cutoff), n)
-        quats = sample_unit_quaternion(rng, n)
-        direction = rng.standard_normal((n, 4))
-        direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-        y = direction * (radius * rng.uniform(0.0, 1.0, (n, 1)) ** 0.25)
-        a, b, beta = _magnitude_coefficients(cfg, td.s_p, td.s_q)
-        lam = np.exp(loglam)
-        shell_sq = b * lam - a * lam * lam - cfg.L**2
-        on_shell = (np.arange(n) % 2 == 0) & (shell_sq > 0.0)
-        dir3 = rng.standard_normal((n, 3))
-        dir3 /= np.linalg.norm(dir3, axis=1, keepdims=True)
-        y[on_shell, 0] = beta * lam[on_shell]
-        y[on_shell, 1:] = dir3[on_shell] * np.sqrt(shell_sq[on_shell])[:, None]
+        y, loglam, quats = _oracle_starts(cfg, sc, td, rng, n_starts)
 
-    rnorm = np.full(n, np.inf)
-    active = np.arange(n)
-    steps = np.concatenate([np.full(4, 1e-7 * cfg.L), [1e-7], np.full(3, 1e-7)])
-    for _ in range(max_iters):
-        if active.size == 0:
-            break
-        ya, la, qa = y[active], loglam[active], quats[active]
-        frames_p = _batched_frames(field_values[0] + curvature_arrays(ya, np.exp(la), unit_quat_to_rotation(qa), cfg.p))
-        frames_q = _batched_frames(field_values[1] + curvature_arrays(ya, np.exp(la), unit_quat_to_rotation(qa), cfg.q))
-        frames = (frames_p, frames_q)
-
-        def residual(yy, ll, qq):
-            return _oracle_residual(field_values, cfg, yy, ll, qq, frames)
-
-        def advance(yy, ll, qq, delta):
-            # clamp log-scale so runaway starts cannot overflow exp()
-            return (
-                yy + delta[:, :4],
-                np.clip(ll + delta[:, 4], -600.0, 600.0),
-                quat_mul(qq, quat_from_rotation_vector(delta[:, 5:8])),
-            )
-
-        ra = residual(ya, la, qa)
-        ran = np.linalg.norm(ra, axis=1)
-        m = active.size
-        jac = np.empty((m, 8, 8))
-        for k in range(8):
-            delta = np.zeros((1, 8))
-            delta[0, k] = steps[k]
-            yp, lp, qp = advance(ya, la, qa, np.broadcast_to(delta, (m, 8)))
-            jac[:, :, k] = (residual(yp, lp, qp) - ra) / steps[k]
-        jtj = jac.transpose(0, 2, 1) @ jac
-        jtr = np.einsum("nik,ni->nk", jac, ra)
-        bad = ~np.all(np.isfinite(jtj), axis=(1, 2))
-        jtj[bad] = np.eye(8)
-        jtr[bad] = 0.0
-        jtj += 1e-14 * np.trace(jtj, axis1=1, axis2=2)[:, None, None] * np.eye(8) + 1e-300 * np.eye(8)
-        delta = -np.linalg.solve(jtj, jtr[..., None])[..., 0]
-        damp = np.ones(m)
-        improved = np.zeros(m, dtype=bool)
-        best = (ya.copy(), la.copy(), qa.copy())
-        rn_new = ran.copy()
-        for _ in range(6):
-            yt, lt, qt = advance(ya, la, qa, damp[:, None] * delta)
-            rt = np.linalg.norm(residual(yt, lt, qt), axis=1)
-            rt = np.where(np.isfinite(rt), rt, np.inf)
-            take = (rt < ran) & ~improved
-            if np.any(take):
-                best[0][take] = yt[take]
-                best[1][take] = lt[take]
-                best[2][take] = qt[take]
-                rn_new[take] = rt[take]
-                improved |= take
-            if np.all(improved):
-                break
-            damp = np.where(improved, damp, damp * 0.5)
-        y[active], loglam[active], quats[active] = best
-        rnorm[active] = rn_new
-        active = active[improved & (rn_new > 1e-13 * scale)]
-
+    y, loglam, quats, rnorm = _oracle_descent(field_values, cfg, y, loglam, quats, scale, max_iters)
     converged = rnorm <= 1e-12 * scale
-    rotations_p = {1: td.m_p[0], 2: td.m_p[1]}
-    rotations_q = {1: td.m_q[0], 2: td.m_q[1]}
-    records: list[SolutionRecord] = []
-    for idx in np.flatnonzero(converged):
-        yy = y[idx]
-        lam = float(np.exp(loglam[idx]))
-        m = unit_quat_to_rotation(quat_normalize(quats[idx]))
-        r_p = m.T @ unit_quat_to_rotation(quat_normalize(cfg.p - yy))
-        r_q = m.T @ unit_quat_to_rotation(quat_normalize(cfg.q - yy))
-        i = 1 if rotation_distance(r_p, rotations_p[1]) <= rotation_distance(r_p, rotations_p[2]) else 2
-        j = 1 if rotation_distance(r_q, rotations_q[1]) <= rotation_distance(r_q, rotations_q[2]) else 2
-        rec = _build_record(field_values, cfg, sc, td, (i, j), yy, lam, m, scale, cutoff)
-        if rec is not None:
-            records.append(rec)
-    records = _dedupe_records(_sorted_records(records), sc.dedupe_radius)
+    records = _certified_records(
+        field_values, cfg, sc, td, y[converged], loglam[converged], quats[converged], scale, cutoff
+    )
     if not keep_inadmissible:
         records = [r for r in records if r.admissible]
     if compute_signs:
@@ -707,7 +797,7 @@ def oracle_enumerate(
             replace(rec, sign=orientation_sign(field, cfg, rec)) if rec.admissible else rec
             for rec in records
         ]
-    return _sorted_records(records)
+    return records
 
 
 def compare_solution_sets(a: list[SolutionRecord], b: list[SolutionRecord], tol: float = 1e-6) -> list[str]:

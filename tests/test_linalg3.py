@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -41,6 +42,17 @@ def test_svd_reconstruction_property(m):
     top = max(f.sigma[0], 1e-300)
     assert np.max(np.abs(f.reconstruct() - m)) <= 1e-12 * top
     assert f.sigma[0] >= f.sigma[1] >= f.sigma[2] >= 0.0
+    assert np.max(np.abs(f.u.T @ f.u - np.eye(3))) < 1e-12
+    assert np.max(np.abs(f.v.T @ f.v - np.eye(3))) < 1e-12
+
+
+@pytest.mark.parametrize("e", [6.1e-5, 1e-6])
+def test_svd_completion_orthonormal_next_to_parallel_axis(e):
+    # rank one with its column nearly along e1: the completion starts from
+    # e1 itself, where one Gram-Schmidt pass cancels down to ~e
+    m = np.array([[3.0, 0.0, 0.0], [e, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    f = svd(m)
+    assert np.max(np.abs(f.reconstruct() - m)) <= 1e-12 * f.sigma[0]
     assert np.max(np.abs(f.u.T @ f.u - np.eye(3))) < 1e-12
     assert np.max(np.abs(f.v.T @ f.v - np.eye(3))) < 1e-12
 

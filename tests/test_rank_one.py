@@ -8,7 +8,9 @@ from gluecount.rank_one import (
     ORACLE_DEDUPE_ANGLE,
     OracleInconclusiveError,
     OutcomeKind,
+    _gauss_newton_quats,
     _greedy_representatives,
+    _rank_one_defect,
     oracle_rank_one,
     solve_rank_one,
     solve_rank_one_reduced,
@@ -224,3 +226,58 @@ def test_one_pass_dedupe_matches_pairwise_loop(spread):
     keep = _greedy_representatives(mats, ORACLE_DEDUPE_ANGLE)
     assert keep == reference_dedupe(mats, ORACLE_DEDUPE_ANGLE)
     assert len(keep) == 4 if spread < 1.0 else len(keep) > 4
+
+
+def _reference_gauss_newton_quats(p, s, quats, iters, fd_step=1e-7):
+    # the loop before accepted trials kept their defect rows: it evaluates
+    # the defect afresh at the top of every iteration
+    g = quats.copy()
+    active = np.arange(g.shape[0])
+    rnorm = np.linalg.norm(_rank_one_defect(p, s, g), axis=-1)
+    tangent_steps = np.eye(3) * fd_step
+    for _ in range(iters):
+        active = active[rnorm[active] > 1e-15]
+        if active.size == 0:
+            break
+        ga = g[active]
+        ra = _rank_one_defect(p, s, ga)
+        ran = np.linalg.norm(ra, axis=-1)
+        n = active.size
+        jac = np.empty((n, 9, 3))
+        for k in range(3):
+            bumped = quat_mul(ga, quat_from_rotation_vector(tangent_steps[k]))
+            jac[:, :, k] = (_rank_one_defect(p, s, bumped) - ra) / fd_step
+        jtj = jac.transpose(0, 2, 1) @ jac
+        jtr = np.einsum("nik,ni->nk", jac, ra)
+        jtj += 1e-14 * np.trace(jtj, axis1=1, axis2=2)[:, None, None] * np.eye(3) + 1e-30 * np.eye(3)
+        delta = -np.linalg.solve(jtj, jtr[..., None])[..., 0]
+        step = np.ones(n)
+        improved = np.zeros(n, dtype=bool)
+        g_new = ga.copy()
+        rn_new = ran.copy()
+        for _ in range(6):
+            trial = quat_mul(ga, quat_from_rotation_vector(step[:, None] * delta))
+            rtn = np.linalg.norm(_rank_one_defect(p, s, trial), axis=-1)
+            take = (rtn < ran) & ~improved
+            if np.any(take):
+                g_new[take] = trial[take]
+                rn_new[take] = rtn[take]
+                improved |= take
+            if np.all(improved):
+                break
+            step = np.where(improved, step, step * 0.5)
+        g[active] = g_new
+        rnorm[active] = rn_new
+        active = active[improved & (rn_new > 1e-15)]
+    return g
+
+
+def test_gauss_newton_kept_defects_match_recomputing_reference():
+    rng = np.random.default_rng(31)
+    for k in range(40):
+        p = rng.uniform(-1.0, 1.0, (3, 3))
+        sv = np.linalg.svd(p, compute_uv=False)
+        starts = sample_unit_quaternion(np.random.default_rng(k), 200)
+        got = _gauss_newton_quats(p / sv[0], sv[1] / sv[0], starts, 40)
+        want = _reference_gauss_newton_quats(p / sv[0], sv[1] / sv[0], starts, 40)
+        assert np.array_equal(got, want)

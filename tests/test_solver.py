@@ -1,13 +1,35 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gluecount.background import make_background, targets
-from gluecount.instanton import TwoPointConfig
-from gluecount.rotations import quat_to_rotation, rotation_angle
+from gluecount.background import eval_background, make_background, targets
+from gluecount.instanton import Bubble, TwoPointConfig
+from gluecount.linalg3 import batched_singular_values
+from gluecount.rotations import (
+    quat_normalize,
+    quat_to_rotation,
+    rotation_angle,
+    rotation_distance,
+    unit_quat_to_rotation,
+)
 from gluecount.solver import (
     CountAnomalyWarning,
+    SolutionRecord,
     SolverConfig,
+    _batched_frames,
+    _build_record,
+    _certified_records,
+    _dedupe_records,
     _magnitude_coefficients,
+    _oracle_advance,
+    _oracle_blocks,
+    _oracle_descent,
+    _oracle_glue,
+    _oracle_jacobian,
+    _oracle_starts,
+    _sorted_records,
+    build_defect_chart,
     compare_solution_sets,
     enumerate_solutions,
     oracle_enumerate,
@@ -299,3 +321,190 @@ def test_solver_config_validation():
         SolverConfig(alpha=0.0)
     with pytest.raises(ValueError):
         SolverConfig(K=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# oracle internals: closed-form Jacobian columns, stack certification, frames
+
+
+def _oracle_cell(seed, amplitude, L):
+    points = [np.array([s * L, 0, 0, 0.0]) for s in (1, -1)]
+    field = make_background(seed, degree=2, amplitude=amplitude, check_points=points)
+    cfg = TwoPointConfig(L)
+    field_values = (eval_background(field, cfg.p), eval_background(field, cfg.q))
+    scale = float(max(batched_singular_values(field_values[0])[0], batched_singular_values(field_values[1])[0]))
+    return field, cfg, targets(field, cfg), field_values, scale
+
+
+@pytest.mark.parametrize("seed,amplitude,L", [(2, AMP, 0.1), (5, AMP, 0.05), (19, 1.0, 0.4), (53, 1.0, 0.4)])
+def test_oracle_jacobian_closed_form_columns_match_forward_differences(seed, amplitude, L):
+    # scale and rotation columns (4-7) against forward differences of step
+    # 1e-7 through the same retraction and fixed frames, at random states
+    # with scales in [L^2, L], the window the solutions live in
+    _, cfg, td, field_values, _ = _oracle_cell(seed, amplitude, L)
+    rng = np.random.default_rng(seed)
+    n = 200
+    y, _, quats = _oracle_starts(cfg, SolverConfig(), td, rng, n)
+    loglam = rng.uniform(np.log(L**2), np.log(L), n)
+    glued = _oracle_glue(field_values, cfg, y, loglam, quats)
+    frames = (_batched_frames(glued[0]), _batched_frames(glued[1]))
+    blocks = _oracle_blocks(frames, glued)
+    jac = _oracle_jacobian(field_values, cfg, y, loglam, quats, glued, frames, blocks)
+    for k in range(4, 8):
+        delta = np.zeros((n, 8))
+        delta[:, k] = 1e-7
+        moved = _oracle_glue(field_values, cfg, *_oracle_advance(y, loglam, quats, delta))
+        fd = (_oracle_blocks(frames, moved) - blocks) / 1e-7
+        rel = np.linalg.norm(jac[:, :, k] - fd, axis=1) / np.linalg.norm(fd, axis=1)
+        assert np.max(rel) < 1e-5, (k, np.max(rel))
+
+
+def _reference_dedupe(records, radius):
+    # the pairwise loop that _dedupe_records replaced
+    kept = []
+    for rec in records:
+        if all(rec.joint_distance(other) >= radius for other in kept if other.pairing == rec.pairing):
+            kept.append(rec)
+    return kept
+
+
+def _reference_certified_records(field_values, cfg, sc, td, y, loglam, quats, scale, cutoff):
+    # the per-start path that _certified_records replaced
+    rotations_p = {1: td.m_p[0], 2: td.m_p[1]}
+    rotations_q = {1: td.m_q[0], 2: td.m_q[1]}
+    records = []
+    for idx in range(y.shape[0]):
+        yy = y[idx]
+        lam = float(np.exp(loglam[idx]))
+        m = unit_quat_to_rotation(quat_normalize(quats[idx]))
+        r_p = m.T @ unit_quat_to_rotation(quat_normalize(cfg.p - yy))
+        r_q = m.T @ unit_quat_to_rotation(quat_normalize(cfg.q - yy))
+        i = 1 if rotation_distance(r_p, rotations_p[1]) <= rotation_distance(r_p, rotations_p[2]) else 2
+        j = 1 if rotation_distance(r_q, rotations_q[1]) <= rotation_distance(r_q, rotations_q[2]) else 2
+        rec = _build_record(field_values, cfg, sc, td, (i, j), yy, lam, m, scale, cutoff)
+        if rec is not None:
+            records.append(rec)
+    return _reference_dedupe(_sorted_records(records), sc.dedupe_radius)
+
+
+def _assert_same_records(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.pairing == b.pairing and type(a.pairing[0]) is int
+        assert np.array_equal(a.gluing.center, b.gluing.center)
+        assert a.gluing.scale == b.gluing.scale
+        assert np.array_equal(a.gluing.angle, b.gluing.angle)
+        assert a.defect_norm == b.defect_norm
+        assert a.admissible == b.admissible
+        assert np.array_equal(a.lift, b.lift)
+        assert a.magnitude_residual == b.magnitude_residual
+
+
+def test_certified_records_match_per_start_path():
+    _, cfg, td, field_values, scale = _oracle_cell(11, AMP, 0.1)
+    sc = SolverConfig()
+    cutoff = sc.K * cfg.L**sc.alpha
+    starts = _oracle_starts(cfg, sc, td, np.random.default_rng(3), 1500)
+    y, loglam, quats, rnorm = _oracle_descent(field_values, cfg, *starts, scale, 60)
+    conv = rnorm <= 1e-12 * scale
+    y, loglam, quats = y[conv], loglam[conv], quats[conv]
+    assert y.shape[0] > 100  # many converged starts per distinct solution
+    args = (field_values, cfg, sc, td, y, loglam, quats, scale, cutoff)
+    got = _certified_records(*args)
+    assert len(got) >= 6
+    _assert_same_records(got, _reference_certified_records(*args))
+
+    # near-duplicates of the converged states, closer and farther than the
+    # dedupe radius, certified under a tolerance loose enough to admit them
+    loose = SolverConfig(newton_tol=1e-3)
+    rng = np.random.default_rng(4)
+    pieces = [(y, loglam, quats)]
+    for size in (0.3 * sc.dedupe_radius, 3.0 * sc.dedupe_radius):
+        pieces.append(
+            (
+                y + size * rng.uniform(-1.0, 1.0, y.shape),
+                loglam + size * rng.uniform(-1.0, 1.0, loglam.shape),
+                quats + size * rng.uniform(-1.0, 1.0, quats.shape),
+            )
+        )
+    y2, loglam2, quats2 = (np.concatenate(parts) for parts in zip(*pieces))
+    order = rng.permutation(y2.shape[0])
+    args = (field_values, cfg, loose, td, y2[order], loglam2[order], quats2[order], scale, cutoff)
+    got = _certified_records(*args)
+    assert len(got) > 6
+    _assert_same_records(got, _reference_certified_records(*args))
+
+
+def test_dedupe_records_matches_pairwise_loop_across_pairings():
+    rng = np.random.default_rng(8)
+    radius = 1e-6
+    base_center = rng.uniform(-0.1, 0.1, 4)
+    base_angle = unit_quat_to_rotation(quat_normalize(rng.standard_normal(4)))
+    records = []
+    for k in range(300):
+        # a handful of clusters, each hit at 0.5x and 2x the radius and
+        # shared between two pairings
+        spread = radius * (0.5 if k % 3 else 2.0) * rng.uniform(-1.0, 1.0, 8)
+        cluster = k % 5
+        angle = base_angle @ unit_quat_to_rotation(quat_normalize(np.concatenate([[1.0], spread[5:8]])))
+        records.append(
+            SolutionRecord(
+                gluing=Bubble(center=base_center + 1e-3 * cluster + spread[:4], scale=0.01 + spread[4], angle=angle),
+                pairing=((1, 2), (2, 1))[k % 2],
+                defect_norm=0.0,
+                sign=0,
+                lambda_over_L2=1.0,
+                lift=np.array([1.0, 0.0, 0.0, 0.0]),
+                magnitude_residual=0.0,
+            )
+        )
+    for radius_ in (radius, 0.0, 1.0):
+        got = _dedupe_records(_sorted_records(records), radius_)
+        want = _reference_dedupe(_sorted_records(records), radius_)
+        assert [id(r) for r in got] == [id(r) for r in want]
+    assert _dedupe_records([], radius) == []
+
+
+def _reference_complement_frame(top):
+    # the single-vector builder that build_defect_chart used before
+    order = np.argsort(np.abs(top), kind="stable")
+    cols = []
+    for axis_index in order[:2]:
+        e = np.zeros(3)
+        e[axis_index] = 1.0
+        e -= (top @ e) * top
+        for c in cols:
+            e -= (c @ e) * c
+        cols.append(e / np.linalg.norm(e))
+    return np.column_stack(cols)
+
+
+def test_defect_chart_matches_single_matrix_frames():
+    rng = np.random.default_rng(21)
+    mats = list(rng.uniform(-1.0, 1.0, (100, 3, 3)))
+    mats += [np.outer(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)) for _ in range(20)]
+    mats += [np.eye(3), np.diag([3.0, 2.0, 1.0]), np.diag([1.0, 0.0, 0.0])]
+    for f in mats:
+        chart = build_defect_chart(f)
+        u, _, vh = np.linalg.svd(f)
+        assert np.max(np.abs(chart.u_frame - _reference_complement_frame(u[:, 0]))) <= 1e-15
+        assert np.max(np.abs(chart.v_frame - _reference_complement_frame(vh[0, :]))) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# off-regime agreement
+
+
+@pytest.mark.parametrize("seed,count,in_22", [(19, 1, 1), (53, 7, 2)])
+def test_offregime_structured_matches_oracle(seed, count, in_22):
+    # amplitude 1.0 at L = 0.4 leaves the six-solution regime; the counts
+    # there are properties of the field, which both searches must agree on
+    field, cfg, _, _, _ = _oracle_cell(seed, 1.0, 0.4)
+    sc = SolverConfig()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CountAnomalyWarning)
+        structured = enumerate_solutions(field, cfg, sc)
+    oracle = oracle_enumerate(field, cfg, sc, n_starts=10_000, rng=np.random.default_rng(seed))
+    assert len(structured) == count
+    assert sum(1 for r in structured if r.pairing == (2, 2)) == in_22
+    assert compare_solution_sets(structured, oracle) == []
