@@ -8,7 +8,12 @@ rank-one completion by a scaled rotation with an independent oracle
 (instanton), synthetic smooth backgrounds with their completion targets
 (background), the six-solution enumeration with orientation signs and a
 global oracle (solver), and a deterministic experiment harness (cli).
+
+The harness is imported on first use of its names (PEP 562), so that
+importing the library does not load the command line.
 """
+
+import importlib
 
 from .background import (
     BackgroundField,
@@ -20,7 +25,6 @@ from .background import (
     make_background,
     targets,
 )
-from .cli import ExperimentReport, ExperimentSpec, lemma_suite, plots_from_csv, run
 from .instanton import (
     Bubble,
     TwoPointConfig,
@@ -76,3 +80,13 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+_CLI_NAMES = ("ExperimentReport", "ExperimentSpec", "lemma_suite", "plots_from_csv", "run")
+
+
+def __getattr__(name):
+    if name == "cli":
+        return importlib.import_module(".cli", __name__)
+    if name in _CLI_NAMES:
+        return getattr(importlib.import_module(".cli", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

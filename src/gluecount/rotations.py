@@ -165,10 +165,9 @@ def rotation_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rotation_angle(r: np.ndarray) -> np.ndarray:
-    """Geodesic distance from the identity."""
-    r = np.asarray(r, dtype=float)
-    c = 0.5 * (np.trace(r, axis1=-2, axis2=-1) - 1.0)
-    return np.arccos(np.clip(c, -1.0, 1.0))
+    """Geodesic distance from the identity, in the small-angle-exact form of
+    rotation_distance."""
+    return rotation_distance(r, np.eye(3))
 
 
 def sample_unit_quaternion(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

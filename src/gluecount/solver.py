@@ -8,13 +8,22 @@ multiple of a rotation, rank-one reducibility at z forces the pair
 F0(z).  The solve therefore splits:
 
   magnitude   both magnitude equations are quadratic in the bubble scale;
-              eliminating them gives y0 = beta * lambda and a single
-              quadratic for lambda whose small root is the physical branch;
-  rotation    with the magnitudes enforced, the remaining condition is
-              R(g(y)) = M_i(p)^T M_j(q) for the direction-ratio quaternion
-              g; this is solved per target lift by damped Newton in the
-              three free coordinates y_I, seeded on a grid plus a
-              closed-form equal-magnitude inversion;
+              their difference pins y0 = beta * lambda and their sum the
+              offset length, r^2 = |y_I|^2 = b lambda - a lambda^2 - L^2;
+  rotation    the remaining condition is R(g(y)) = M_i(p)^T M_j(q) for the
+              direction-ratio quaternion g(y) ~ conj(y - p)(y - q)
+              = (y0^2 - L^2 + r^2, -2 L y_I).  For a target lift h with
+              h0 = Re h and s = |Im h| it puts y_I = -rho Im h / s, where
+              the signed offset rho = +-r picks the lift +-h, and leaves
+              the branch equation s Q(lambda) = 2 L h0 rho with
+              Q = b lambda - lambda^2 - 2 L^2.  Squaring it (h0^2 + s^2 = 1)
+              gives one quartic per pairing,
+                P = s^2 l^4 - 2 b s^2 l^3 + (s^2 (b^2 + 4 L^2) + 4 a L^2 h0^2) l^2
+                    - 4 b L^2 l + 4 L^4,
+              which divides by neither s nor h0.  Each real root, started on
+              both signs of rho, is finished by Newton on the unsquared pair
+              (magnitude, branch) in (lambda, rho) and checked against
+              g(y) = +-h;
   angle       the gluing angle is then read off as
               m = R(unit(y - p)) @ M_i(p)^T.
 
@@ -22,10 +31,13 @@ Every candidate is certified directly on the full defect (middle singular
 value of both glued matrices), deduplicated, filtered by the admissibility
 cutoff lambda <= K * L^alpha, and given an orientation sign: the sign of
 the determinant of the 8x8 Jacobian of the stacked 2x2 defect blocks with
-respect to (y, log lambda, rotation chart at m).  The sign convention is
-pinned so that the exactly solvable reference configuration (constant
-rank-one-shifted background, bubble at the origin, identity angle) has
-sign +1.
+respect to (y, log lambda, rotation chart at m).  The sign counts only
+when sigma_min(J_h) > SIGN_MARGIN * ||J_h - J_2h||_2 for the Jacobians
+whose center columns are central differences at steps h and 2h: their
+difference bounds the error of J_h, and by Weyl's inequality no matrix
+that close to J_h is singular.  The sign convention is pinned so that the
+exactly solvable reference configuration (constant rank-one-shifted
+background, bubble at the origin, identity angle) has sign +1.
 
 oracle_enumerate ignores the structured reduction entirely and runs
 damped Gauss-Newton on the full 8-dimensional defect system from random
@@ -55,6 +67,14 @@ from .rotations import (
 )
 
 DISC_MERGE_TOL = 1e-9
+# quartic roots with |Im z| <= ROOT_IMAG_TOL * max(|z|, L^2) count as real:
+# near-double roots come out of the eigenvalue solve as complex pairs
+ROOT_IMAG_TOL = 1e-6
+BRANCH_NEWTON_ITERS = 16
+# a finished root must reproduce its target lift, |g(y) -+ h| <= this
+LIFT_TOL = 1e-8
+# kappa of the sign certificate sigma_min(J_h) > kappa ||J_h - J_2h||_2
+SIGN_MARGIN = 10.0
 PAIRINGS = ((1, 1), (1, 2), (2, 1), (2, 2))
 EXPECTED_COUNTS = {(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}
 
@@ -72,7 +92,7 @@ class CountAnomalyWarning(UserWarning):
 
 
 class NearDegenerateError(RuntimeError):
-    """Orientation Jacobian too close to singular for a trustworthy sign."""
+    """Orientation Jacobian too close to singular for a certified sign."""
 
 
 @dataclass(frozen=True)
@@ -81,15 +101,16 @@ class SolverConfig:
 
     alpha must lie strictly inside (0, 2): the admissibility cutoff
     lambda <= K * L^alpha only separates the small-bubble branch there.
-    grid_density is the per-axis multi-start resolution on the admissible
-    ball of midpoint offsets.
+    newton_tol is the certification tolerance: a solution's full defect
+    (middle singular value of both glued matrices) must stay within
+    newton_tol times the larger top singular value of the background at
+    the two points.  dedupe_radius is the joint (center, scale, angle)
+    distance below which two certified solutions of one pairing are one.
     """
 
     K: float = 1.0
     alpha: float = 1.0
     newton_tol: float = 1e-12
-    max_newton_iters: int = 50
-    grid_density: int = 16
     dedupe_radius: float = 1e-6
 
     def __post_init__(self):
@@ -157,16 +178,6 @@ def solve_magnitude(cfg: TwoPointConfig, s_p: float, s_q: float, y_I) -> list[tu
     return [(beta * lam_small, lam_small), (beta * lam_large, lam_large)]
 
 
-def _small_roots(cfg: TwoPointConfig, s_p: float, s_q: float, y_I: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Small-branch (y0, lambda) for a batch of midpoint offsets; NaN if infeasible."""
-    a, b, beta = _magnitude_coefficients(cfg, s_p, s_q)
-    c = cfg.L**2 + np.sum(y_I * y_I, axis=-1)
-    disc = b * b - 4.0 * a * c
-    with np.errstate(invalid="ignore"):
-        lam = np.where(disc > 0.0, 2.0 * c / (b + np.sqrt(np.abs(disc))), np.nan)
-    return beta * lam, lam
-
-
 def admissible_radius(cfg: TwoPointConfig, sc: SolverConfig, s_p: float, s_q: float) -> float:
     """Radius of the ball of midpoint offsets whose small root obeys the cutoff."""
     a, b, _ = _magnitude_coefficients(cfg, s_p, s_q)
@@ -175,103 +186,64 @@ def admissible_radius(cfg: TwoPointConfig, sc: SolverConfig, s_p: float, s_q: fl
     return float(np.sqrt(max(c_max - cfg.L**2, 0.0)))
 
 
-def _lift_seed(cfg: TwoPointConfig, h: np.ndarray, radius_cap: float) -> np.ndarray | None:
-    """Closed-form equal-magnitude inversion of g(y) = h on the slice y0 = 0.
+def _branch_candidates(cfg: TwoPointConfig, td: TargetData, cutoff: float):
+    """(centers, log scales, angle quaternions) solving the magnitude and
+    rotation equations of all four pairings, with scales in (0, cutoff].
 
-    The offset is antiparallel to Im h with |y_I| = L (1 + Re h) / |Im h|,
-    the inversive partner of the other lift.  None when the solution runs
-    past the cap or the lift is the identity.
+    One quartic per pairing (see the module docstring).  Each real root
+    starts Newton on the unsquared pair r^2 = b l - a l^2 - L^2,
+    s Q(l) = 2 L h0 rho twice, with rho = +r and rho = -r, so that a root
+    whose lift is ambiguous (h0 -> 0, where the quartic's roots pair up)
+    keeps both branches; duplicates are left to the dedupe.  A finished
+    root must reproduce its target lift through direction_ratio_arrays.
     """
-    im = h[1:4]
-    im_norm = float(np.linalg.norm(im))
-    if im_norm < 1e-14:
-        return np.zeros(3) if h[0] < 0.0 else None
-    r = cfg.L * (1.0 + float(h[0])) / im_norm
-    if r > radius_cap:
-        return None
-    return -(r / im_norm) * im
-
-
-def _newton_lift(
-    cfg: TwoPointConfig,
-    s_p: float,
-    s_q: float,
-    h: np.ndarray,
-    seeds: np.ndarray,
-    max_iters: int,
-) -> np.ndarray:
-    """Damped Newton for Im(conj(h) g(y)) = 0 over midpoint offsets.
-
-    Zeros are exactly the points where the direction ratio hits either
-    lift of the target rotation.  Returns the converged offsets
-    (unclustered).
-    """
-    hbar = quat_conj(h)
-
-    def residual(y_I: np.ndarray) -> np.ndarray:
-        y0, lam = _small_roots(cfg, s_p, s_q, y_I)
-        y = np.concatenate([y0[..., None], y_I], axis=-1)
-        g = direction_ratio_arrays(cfg.p, cfg.q, y)
-        return quat_mul(hbar, g)[..., 1:4]
-
-    x = np.asarray(seeds, dtype=float).reshape(-1, 3).copy()
-    r = residual(x)
-    rnorm = np.linalg.norm(r, axis=-1)
-    rnorm = np.where(np.isfinite(rnorm), rnorm, np.inf)
-    active = np.flatnonzero(rnorm < np.inf)
-    step_h = 1e-7 * cfg.L
-    for _ in range(max_iters):
-        if active.size == 0:
-            break
-        xa = x[active]
-        ra = residual(xa)
-        ran = np.linalg.norm(ra, axis=-1)
-        n = active.size
-        jac = np.empty((n, 3, 3))
-        for k in range(3):
-            bump = np.zeros(3)
-            bump[k] = step_h
-            jac[:, :, k] = (residual(xa + bump) - residual(xa - bump)) / (2.0 * step_h)
-        jtj = jac.transpose(0, 2, 1) @ jac
-        jtr = np.einsum("nik,ni->nk", jac, ra)
-        bad = ~np.all(np.isfinite(jtj), axis=(1, 2))
-        jtj[bad] = np.eye(3)
-        jtr[bad] = 0.0
-        jtj += 1e-14 * np.trace(jtj, axis1=1, axis2=2)[:, None, None] * np.eye(3) + 1e-30 * np.eye(3)
-        delta = -np.linalg.solve(jtj, jtr[..., None])[..., 0]
-        scale = np.ones(n)
-        improved = np.zeros(n, dtype=bool)
-        x_new = xa.copy()
-        rn_new = ran.copy()
-        for _ in range(8):
-            trial = xa + scale[:, None] * delta
-            rt = np.linalg.norm(residual(trial), axis=-1)
-            rt = np.where(np.isfinite(rt), rt, np.inf)
-            take = (rt < ran) & ~improved
-            if np.any(take):
-                x_new[take] = trial[take]
-                rn_new[take] = rt[take]
-                improved |= take
-            if np.all(improved):
+    a, b, beta = _magnitude_coefficients(cfg, td.s_p, td.s_q)
+    L, L2 = cfg.L, cfg.L**2
+    conj_m_p = [quat_conj(rotation_to_quat_pair(m)[0]) for m in td.m_p]
+    lifts, lam, rho, rows = [], [], [], []
+    for k, (i, j) in enumerate(PAIRINGS):
+        h = rotation_to_quat_pair(td.m_p[i - 1].T @ td.m_q[j - 1])[0]
+        h0, s2 = h[0], float(h[1:] @ h[1:])
+        z = np.roots([s2, -2.0 * b * s2, s2 * (b * b + 4.0 * L2) + 4.0 * a * L2 * h0 * h0, -4.0 * b * L2, 4.0 * L2 * L2])
+        z = z.real[np.abs(z.imag) <= ROOT_IMAG_TOL * np.maximum(np.abs(z), L2)]
+        r = np.sqrt(np.maximum(b * z - a * z * z - L2, 0.0))
+        lifts.append(h)
+        lam += [z, z]
+        rho += [r, -r]
+        rows.append(np.full(2 * z.size, k))
+    lifts, conj_p = np.array(lifts), np.array([conj_m_p[i - 1] for i, _ in PAIRINGS])
+    lam, rho, rows = np.concatenate(lam), np.concatenate(rho), np.concatenate(rows)
+    h0 = lifts[rows, 0]
+    s = np.linalg.norm(lifts[rows, 1:], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(BRANCH_NEWTON_ITERS):
+            g1 = rho * rho - (b * lam - a * lam * lam - L2)
+            g2 = s * (b * lam - lam * lam - 2.0 * L2) - 2.0 * L * h0 * rho
+            j11, j12 = 2.0 * a * lam - b, 2.0 * rho
+            j21, j22 = s * (b - 2.0 * lam), -2.0 * L * h0
+            det = j11 * j22 - j12 * j21
+            # a singular step (det = 0 at an exact double root) leaves the root where it is
+            d_lam = np.nan_to_num((g1 * j22 - g2 * j12) / det, nan=0.0, posinf=0.0, neginf=0.0)
+            d_rho = np.nan_to_num((j11 * g2 - j21 * g1) / det, nan=0.0, posinf=0.0, neginf=0.0)
+            lam, rho = lam - d_lam, rho - d_rho
+            # done once no root inside the cutoff moves beyond round-off; the
+            # far roots (r -> 0 near lambda = b/a) stall at a coarser floor
+            moving = (np.abs(d_lam) > 1e-15 * np.abs(lam)) | (np.abs(d_rho) > 1e-15 * (np.abs(rho) + L))
+            if not np.any(moving & (lam <= cutoff)):
                 break
-            scale = np.where(improved, scale, scale * 0.5)
-        x[active] = x_new
-        rnorm[active] = rn_new
-        active = active[improved & (rn_new > 1e-15)]
-    converged = rnorm <= 1e-13
-    return x[converged]
-
-
-def _cluster_rows(rows: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Deterministic greedy clustering after a lexicographic sort."""
-    if rows.shape[0] == 0:
-        return []
-    rows = rows[np.lexsort(rows.T[::-1])]
-    reps: list[np.ndarray] = []
-    for row in rows:
-        if all(np.max(np.abs(row - rep)) >= radius for rep in reps):
-            reps.append(row)
-    return reps
+        # y_I = -rho Im h / s; at s = 0 (identity target) the root has rho = 0
+        axis = np.where(s[:, None] > 0.0, lifts[rows, 1:] / s[:, None], 0.0)
+    keep = np.isfinite(lam) & np.isfinite(rho) & (lam > 0.0) & (lam <= cutoff * (1.0 + 1e-9))
+    lam, rho, rows, axis = lam[keep], rho[keep], rows[keep], axis[keep]
+    y = np.column_stack([beta * lam, -rho[:, None] * axis])
+    g = direction_ratio_arrays(cfg.p, cfg.q, y)
+    h = lifts[rows]
+    miss = np.minimum(np.linalg.norm(g - h, axis=1), np.linalg.norm(g + h, axis=1))
+    keep = miss <= LIFT_TOL
+    y, lam, rows = y[keep], lam[keep], rows[keep]
+    # m = R(unit(y - p)) M_i(p)^T, as the quaternion unit(y - p) * conj(lift of M_i(p))
+    quats = quat_mul(quat_normalize(y - cfg.p), conj_p[rows])
+    return y, np.log(lam), quats
 
 
 def _glued_pair(field_values: tuple[np.ndarray, np.ndarray], cfg: TwoPointConfig, center, scale, angle):
@@ -367,10 +339,10 @@ def enumerate_solutions(
 ) -> list[SolutionRecord]:
     """All admissible gluing solutions for the field, certified and signed.
 
-    For each of the four target pairings the rotation equation is solved
-    through both quaternion lifts by multi-start damped Newton; candidates
-    are certified on the full defect, deduplicated, filtered by the
-    admissibility cutoff, and sorted deterministically.  A deviation from
+    One quartic per target pairing gives every root of the rotation
+    equation in closed form (_branch_candidates); the roots are certified
+    on the full defect, sorted and deduplicated as one stack, filtered by
+    the admissibility cutoff and signed in one batch.  A deviation from
     the expected 2/2/1/1 per-pairing pattern emits CountAnomalyWarning
     (the records are still returned).
     """
@@ -382,38 +354,8 @@ def enumerate_solutions(
     scale = float(max(batched_singular_values(f0_p)[0], batched_singular_values(f0_q)[0]))
     cutoff = sc.K * cfg.L**sc.alpha
 
-    radius = admissible_radius(cfg, sc, td.s_p, td.s_q)
-    axis = np.linspace(-radius, radius, sc.grid_density) if radius > 0.0 else np.zeros(1)
-    gx, gy, gz = np.meshgrid(axis, axis, axis, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel(), gz.ravel()])
-    _, lam_grid = _small_roots(cfg, td.s_p, td.s_q, grid)
-    grid = grid[np.isfinite(lam_grid)]
-
-    records: list[SolutionRecord] = []
-    rotations_p = {1: td.m_p[0], 2: td.m_p[1]}
-    rotations_q = {1: td.m_q[0], 2: td.m_q[1]}
-    for pairing in PAIRINGS:
-        target = rotations_p[pairing[0]].T @ rotations_q[pairing[1]]
-        lifts = rotation_to_quat_pair(target)
-        candidates: list[SolutionRecord] = []
-        for h in lifts:
-            seeds = [grid]
-            analytic = _lift_seed(cfg, h, 4.0 * radius + 4.0 * cfg.L)
-            if analytic is not None:
-                seeds.append(analytic[None, :])
-            roots = _newton_lift(cfg, td.s_p, td.s_q, h, np.concatenate(seeds, axis=0), sc.max_newton_iters)
-            for y_I in _cluster_rows(roots, max(sc.dedupe_radius, 1e-9)):
-                y0, lam = _small_roots(cfg, td.s_p, td.s_q, y_I[None, :])
-                if not np.isfinite(lam[0]):
-                    continue
-                y = np.concatenate([[y0[0]], y_I])
-                u_p = quat_normalize(y - cfg.p)
-                m = unit_quat_to_rotation(u_p) @ rotations_p[pairing[0]].T
-                rec = _build_record(field_values, cfg, sc, td, pairing, y, float(lam[0]), m, scale, cutoff)
-                if rec is not None:
-                    candidates.append(rec)
-        records.extend(_dedupe_records(_sorted_records(candidates), sc.dedupe_radius))
-
+    y, loglam, quats = _branch_candidates(cfg, td, cutoff)
+    records = _certified_records(field_values, cfg, sc, td, y, loglam, quats, scale, cutoff)
     admissible = [r for r in records if r.admissible]
     counts = {pairing: sum(1 for r in admissible if r.pairing == pairing) for pairing in PAIRINGS}
     if counts != EXPECTED_COUNTS:
@@ -424,10 +366,8 @@ def enumerate_solutions(
             stacklevel=2,
         )
     if compute_signs:
-        admissible = [
-            replace(rec, sign=orientation_sign(field, cfg, rec)) for rec in admissible
-        ]
-    return _sorted_records(admissible)
+        admissible = _signed_records(field_values, cfg, admissible)
+    return admissible
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +421,60 @@ def build_defect_chart(f: np.ndarray) -> DefectChart:
     return DefectChart(u_frame=u_frames[0], v_frame=v_frames[0])
 
 
+def _sign_jacobians(field_values, cfg: TwoPointConfig, y, lam, mats, step: float) -> np.ndarray:
+    """(2, n, 8, 8) Jacobians J_h and J_2h of the defect blocks at a stack of solutions.
+
+    Fixed frames anchored at each solution; columns 4-7 in closed form
+    (_scale_rotation_columns), shared by both; the four center columns
+    by central differences at steps h and 2h, from one stacked glue call.
+    """
+    n = y.shape[0]
+    glued = _glued_pair(field_values, cfg, y, lam, mats)
+    frames = (_batched_frames(glued[0]), _batched_frames(glued[1]))
+    # centers moved by +-h and +-2h along each axis: (step, axis, side, record, 4)
+    steps = np.array([step, 2.0 * step])
+    offsets = steps[:, None, None, None, None] * np.eye(4)[None, :, None, None, :] * np.array([1.0, -1.0])[:, None, None]
+    moved = _oracle_blocks(frames, _glued_pair(field_values, cfg, y + offsets, lam, mats)).reshape(2, 4, 2, n, 8)
+    jac = np.empty((2, n, 8, 8))
+    jac[..., :4] = np.moveaxis((moved[:, :, 0] - moved[:, :, 1]) / (2.0 * steps[:, None, None, None]), 1, -1)
+    _scale_rotation_columns(field_values, cfg, y, np.log(lam), glued, frames, jac[0])
+    jac[1, ..., 4:] = jac[0, ..., 4:]
+    return jac
+
+
+def _signed_records(field_values, cfg: TwoPointConfig, records: list[SolutionRecord], step: float = 1e-5):
+    """The records with their orientation signs, all computed in one batch.
+
+    The sign of det J_h is certified when sigma_min(J_h) > SIGN_MARGIN *
+    ||J_h - J_2h||_2 (_sign_jacobians); otherwise NearDegenerateError
+    names the smallest margin and its record.
+    """
+    if not records:
+        return []
+    jac = _sign_jacobians(
+        field_values,
+        cfg,
+        np.array([r.gluing.center for r in records]),
+        np.array([r.gluing.scale for r in records]),
+        np.array([r.gluing.angle for r in records]),
+        step,
+    )
+    sigma_min = np.linalg.svd(jac[0], compute_uv=False)[:, -1]
+    error = np.linalg.norm(jac[0] - jac[1], ord=2, axis=(1, 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        margin = sigma_min / error
+    worst = int(np.argmin(np.where(np.isnan(margin), -np.inf, margin)))
+    if not margin[worst] > SIGN_MARGIN:
+        rec = records[worst]
+        raise NearDegenerateError(
+            f"sign margin sigma_min(J) / |J_h - J_2h| = {margin[worst]:.3g} not above {SIGN_MARGIN:g} "
+            f"(sigma_min {sigma_min[worst]:.3e}, step error {error[worst]:.3e}) "
+            f"at the {rec.pairing} solution with lambda/L^2 = {rec.lambda_over_L2:.6g}"
+        )
+    signs = np.where(np.linalg.det(jac[0]) > 0.0, 1, -1)
+    return [replace(rec, sign=int(sign)) for rec, sign in zip(records, signs)]
+
+
 def orientation_sign(
     field: BackgroundField,
     cfg: TwoPointConfig,
@@ -489,40 +483,13 @@ def orientation_sign(
 ) -> int:
     """Sign of the 8x8 Jacobian of the stacked defect blocks at a solution.
 
-    Central differences in the chart (y, log lambda, rotation chart at the
-    gluing angle) with fixed defect frames anchored at the solution.
-    Raises NearDegenerateError when |det| falls below 1e-6 times the
-    product of the Jacobian row norms (non-transverse solution).
+    Chart (y, log lambda, right rotation chart at the gluing angle), fixed
+    defect frames anchored at the solution; the one-record case of the
+    batch that enumerate_solutions and oracle_enumerate sign through.
+    Raises NearDegenerateError when the sign is not certified.
     """
-    f0_p = eval_background(field, cfg.p)
-    f0_q = eval_background(field, cfg.q)
-    y0 = rec.gluing.center
-    lam0 = rec.gluing.scale
-    m0 = rec.gluing.angle
-    f_p, f_q = _glued_pair((f0_p, f0_q), cfg, y0, lam0, m0)
-    chart_p = build_defect_chart(f_p)
-    chart_q = build_defect_chart(f_q)
-
-    def phi(u: np.ndarray) -> np.ndarray:
-        y = y0 + u[:4]
-        lam = lam0 * np.exp(u[4])
-        m = m0 @ unit_quat_to_rotation(quat_from_rotation_vector(u[5:8]))
-        g_p, g_q = _glued_pair((f0_p, f0_q), cfg, y, lam, m)
-        return np.concatenate([chart_p.value(g_p), chart_q.value(g_q)])
-
-    jac = np.empty((8, 8))
-    for k in range(8):
-        e = np.zeros(8)
-        e[k] = step
-        jac[:, k] = (phi(e) - phi(-e)) / (2.0 * step)
-    det = float(np.linalg.det(jac))
-    # sharper of the two Hadamard bounds: the row product alone misfires on
-    # well-conditioned Jacobians whose outputs mix scales
-    hadamard = min(float(np.prod(np.linalg.norm(jac, axis=1))), float(np.prod(np.linalg.norm(jac, axis=0))))
-    floor = 1e-6 * hadamard
-    if abs(det) < floor:
-        raise NearDegenerateError(f"|det| = {abs(det):.3e} below transversality floor {floor:.3e}")
-    return 1 if det > 0.0 else -1
+    field_values = (eval_background(field, cfg.p), eval_background(field, cfg.q))
+    return _signed_records(field_values, cfg, [rec], step)[0].sign
 
 
 def reference_case(L: float, s: float = 1.0) -> tuple[BackgroundField, TwoPointConfig, SolutionRecord]:
@@ -632,22 +599,14 @@ def _oracle_advance(y, loglam, quats, delta):
     )
 
 
-def _oracle_jacobian(field_values, cfg, y, loglam, quats, glued, frames, blocks) -> np.ndarray:
-    """(n, 8, 8) Jacobians of the defect blocks in the domain chart.
+def _scale_rotation_columns(field_values, cfg, y, loglam, glued, frames, jac) -> None:
+    """Write Jacobian columns 4-7 of a (n, 8, 8) stack in closed form.
 
-    The four center columns are forward differences of size 1e-7 L from
-    the base blocks.  With C = glued - F0 the bubble term at a marked
-    point, the log-scale column is 2 (r^2 - lam^2) / (r^2 + lam^2) C and
-    rotation column k is -[e_k]_x C, both projected through the frames.
+    With C = glued - F0 the bubble term at a marked point, the log-scale
+    column is 2 (r^2 - lam^2) / (r^2 + lam^2) C and rotation column k is
+    -[e_k]_x C, both projected through the frames.
     """
     n = y.shape[0]
-    center_step = 1e-7 * cfg.L
-    jac = np.empty((n, 8, 8))
-    for k in range(4):
-        bumped = y.copy()
-        bumped[:, k] += center_step
-        moved = _oracle_glue(field_values, cfg, bumped, loglam, quats)
-        jac[:, :, k] = (_oracle_blocks(frames, moved) - blocks) / center_step
     with np.errstate(over="ignore", invalid="ignore"):
         lam2 = np.exp(loglam) ** 2
         for rows, point, f0, (u, v), f in zip((slice(0, 4), slice(4, 8)), (cfg.p, cfg.q), field_values, frames, glued):
@@ -658,6 +617,22 @@ def _oracle_jacobian(field_values, cfg, y, loglam, quats, glued, frames, blocks)
             jac[:, rows, 4] = ratio[:, None] * (ut @ bubble @ v).reshape(n, 4)
             for k in range(3):
                 jac[:, rows, 5 + k] = (ut @ (_ROTATION_GENERATORS[k] @ bubble) @ v).reshape(n, 4)
+
+
+def _oracle_jacobian(field_values, cfg, y, loglam, quats, glued, frames, blocks) -> np.ndarray:
+    """(n, 8, 8) Jacobians of the defect blocks in the domain chart.
+
+    The four center columns are forward differences of size 1e-7 L from
+    the base blocks; columns 4-7 are closed form.
+    """
+    center_step = 1e-7 * cfg.L
+    jac = np.empty((y.shape[0], 8, 8))
+    for k in range(4):
+        bumped = y.copy()
+        bumped[:, k] += center_step
+        moved = _oracle_glue(field_values, cfg, bumped, loglam, quats)
+        jac[:, :, k] = (_oracle_blocks(frames, moved) - blocks) / center_step
+    _scale_rotation_columns(field_values, cfg, y, loglam, glued, frames, jac)
     return jac
 
 
@@ -673,7 +648,8 @@ def _oracle_descent(field_values, cfg, y, loglam, quats, scale, max_iters):
     n = y.shape[0]
     glued = _oracle_glue(field_values, cfg, y, loglam, quats)
     rnorm = np.full(n, np.inf)
-    active = np.arange(n)
+    # a start whose glued matrices overflow never reaches the frame SVD
+    active = np.flatnonzero(np.all(np.isfinite(glued[0]), axis=(1, 2)) & np.all(np.isfinite(glued[1]), axis=(1, 2)))
     for _ in range(max_iters):
         if active.size == 0:
             break
@@ -793,10 +769,8 @@ def oracle_enumerate(
     if not keep_inadmissible:
         records = [r for r in records if r.admissible]
     if compute_signs:
-        records = [
-            replace(rec, sign=orientation_sign(field, cfg, rec)) if rec.admissible else rec
-            for rec in records
-        ]
+        signed = iter(_signed_records(field_values, cfg, [r for r in records if r.admissible]))
+        records = [next(signed) if rec.admissible else rec for rec in records]
     return records
 
 

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gluecount import cli
+import gluecount
+from gluecount import cli, solver
 from gluecount.background import DegenerateFieldError
+from gluecount.solver import NearDegenerateError
 from gluecount.cli import (
     CSV_COLUMNS,
     ExperimentSpec,
@@ -115,9 +121,13 @@ def test_lemma_suite_small(capsys):
     assert out.count("PASS") == 5
 
 
-def test_exit_code_error_cell(tmp_path):
-    # this field's orientation determinant at L=0.05 falls below the
-    # transversality floor: the cell raises NearDegenerateError
+def test_exit_code_error_cell(tmp_path, monkeypatch):
+    # a cell whose signs the solver refuses (NearDegenerateError from the
+    # signing batch) gets a nan row, one diagnostics line and exit code 5
+    def refuse(field_values, cfg, records, step=1e-5):
+        raise NearDegenerateError("sign margin 3 not above 10")
+
+    monkeypatch.setattr(solver, "_signed_records", refuse)
     out = tmp_path / "err"
     code = main(["run", "--seeds", "198801500", "--L", "0.05", "--out", str(out)])
     assert code == 5
@@ -128,6 +138,27 @@ def test_exit_code_error_cell(tmp_path):
     diag = (out / "diagnostics.txt").read_text().splitlines()
     assert len(diag) == 1
     assert diag[0].startswith("error at seed=198801500 L=0.05") and "NearDegenerateError" in diag[0]
+
+
+def test_formerly_refused_cell_is_signed_count_anomaly(tmp_path):
+    # the far (1,1) and (2,2) roots of this field sit inside the cutoff at
+    # L = 0.05: eight solutions, all signed +1, so a count anomaly (exit 2)
+    out = tmp_path / "eight"
+    code = main(["run", "--seeds", "198801500", "--L", "0.05", "--out", str(out), "--no-plots"])
+    assert code == 2
+    doc = json.loads((out / "solutions_seed198801500_L0.05.json").read_text())
+    assert len(doc["records"]) == 8 and {r["sign"] for r in doc["records"]} == {1}
+    assert (out / "diagnostics.txt").read_text().startswith("count anomaly at seed=198801500 L=0.05")
+
+
+def test_import_leaves_cli_unloaded():
+    code = (
+        "import sys, gluecount; assert 'gluecount.cli' not in sys.modules; "
+        "from gluecount import run; assert 'gluecount.cli' in sys.modules and run is gluecount.cli.run"
+    )
+    src = str(Path(gluecount.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, timeout=60)
 
 
 def test_degenerate_field_keeps_sweep_going(tmp_path, monkeypatch):

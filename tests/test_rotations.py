@@ -173,6 +173,13 @@ def test_rotation_distance_resolves_small_angles():
     assert np.all(np.abs(d - eps) <= 1e-3 * eps)
 
 
+def test_rotation_angle_resolves_small_angles():
+    # arccos of the trace reads 0 below ~1e-8
+    axis = np.array([0.6, -0.8, 0.0])
+    for eps in (1e-6, 1e-10, 1e-12):
+        assert abs(float(rotation_angle(rotation_exp(eps * axis))) - eps) <= 1e-3 * eps
+
+
 # The np.moveaxis / np.stack forms that quat_mul and unit_quat_to_rotation
 # replaced, kept as their bitwise references.
 def reference_quat_mul(a, b):

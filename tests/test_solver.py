@@ -3,24 +3,30 @@ import warnings
 import numpy as np
 import pytest
 
-from gluecount.background import eval_background, make_background, targets
+from gluecount.background import BackgroundField, eval_background, make_background, targets
 from gluecount.instanton import Bubble, TwoPointConfig
 from gluecount.linalg3 import batched_singular_values
 from gluecount.rotations import (
+    quat_from_rotation_vector,
     quat_normalize,
     quat_to_rotation,
     rotation_angle,
     rotation_distance,
+    rotation_to_quat_pair,
     unit_quat_to_rotation,
 )
 from gluecount.solver import (
+    PAIRINGS,
     CountAnomalyWarning,
+    NearDegenerateError,
     SolutionRecord,
     SolverConfig,
     _batched_frames,
+    _branch_candidates,
     _build_record,
     _certified_records,
     _dedupe_records,
+    _glued_pair,
     _magnitude_coefficients,
     _oracle_advance,
     _oracle_blocks,
@@ -28,6 +34,7 @@ from gluecount.solver import (
     _oracle_glue,
     _oracle_jacobian,
     _oracle_starts,
+    _sign_jacobians,
     _sorted_records,
     build_defect_chart,
     compare_solution_sets,
@@ -495,7 +502,7 @@ def test_defect_chart_matches_single_matrix_frames():
 # off-regime agreement
 
 
-@pytest.mark.parametrize("seed,count,in_22", [(19, 1, 1), (53, 7, 2)])
+@pytest.mark.parametrize("seed,count,in_22", [(17, 5, 1), (19, 1, 1), (53, 7, 2), (56, 6, 1)])
 def test_offregime_structured_matches_oracle(seed, count, in_22):
     # amplitude 1.0 at L = 0.4 leaves the six-solution regime; the counts
     # there are properties of the field, which both searches must agree on
@@ -508,3 +515,146 @@ def test_offregime_structured_matches_oracle(seed, count, in_22):
     assert len(structured) == count
     assert sum(1 for r in structured if r.pairing == (2, 2)) == in_22
     assert compare_solution_sets(structured, oracle) == []
+
+
+# ---------------------------------------------------------------------------
+# quartic rotation solve and batched signs
+
+
+@pytest.mark.parametrize("seed,L,count", [(198801500, 0.05, 8), (347867800, 0.05, 7), (413185905, 0.1, 7)])
+def test_far_root_cells_signed(seed, L, count):
+    # far (1,1) and (2,2) roots at lambda/L^2 of 4 to 17 sit inside the
+    # cutoff here; their Jacobians mix scales, yet every sign certifies
+    field = make_background(seed, degree=2, amplitude=AMP, check_points=[np.array([s * L, 0, 0, 0.0]) for s in (1, -1)])
+    with pytest.warns(CountAnomalyWarning):
+        recs = enumerate_solutions(field, TwoPointConfig(L), SolverConfig())
+    assert len(recs) == count
+    assert {r.sign for r in recs} == {1}
+
+
+def test_small_h0_keeps_both_lift_roots():
+    # the (2,1) target lift of this cell has |Re h| ~ 1e-5, where the
+    # quartic's roots pair up and the lift of each root is ambiguous
+    L = 0.2
+    field = make_background(112489951, degree=2, amplitude=AMP, check_points=[np.array([s * L, 0, 0, 0.0]) for s in (1, -1)])
+    cfg = TwoPointConfig(L)
+    td = targets(field, cfg)
+    h = quat_normalize(rotation_to_quat_pair(td.m_p[1].T @ td.m_q[0])[0])
+    assert abs(h[0]) < 1e-4
+    recs = enumerate_solutions(field, cfg, SolverConfig())
+    counts = {p: sum(1 for r in recs if r.pairing == p) for p in PAIRINGS}
+    assert counts == {(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}
+    assert {r.sign for r in recs} == {1}
+
+
+def _all_roots(field, cfg):
+    # every certified root of the four pairings, admissible or not
+    field_values = (eval_background(field, cfg.p), eval_background(field, cfg.q))
+    scale = float(max(batched_singular_values(field_values[0])[0], batched_singular_values(field_values[1])[0]))
+    td = targets(field, cfg)
+    y, loglam, quats = _branch_candidates(cfg, td, np.inf)
+    return _certified_records(field_values, cfg, SolverConfig(), td, y, loglam, quats, scale, np.inf), td, scale
+
+
+@pytest.mark.parametrize("L,s", [(0.5, 1.0), (0.1, 25.0)])
+def test_merged_double_root_gives_one_record(L, s):
+    # at L = 1/(2 sqrt(s)) the identity pairings' on-axis roots of the
+    # constant reference field merge at lambda = L: the quartic
+    # 4 L^2 (lambda^2 - b lambda + L^2) has a double root
+    field, cfg, _ = reference_case(L, s)
+    recs, _, _ = _all_roots(field, cfg)
+    same = [r for r in recs if r.pairing[0] == r.pairing[1]]
+    assert sorted(r.pairing for r in same) == [(1, 1), (2, 2)]
+    for r in same:
+        assert abs(r.gluing.scale - L) < 1e-7 and np.max(np.abs(r.gluing.center)) < 1e-7
+
+
+def _scaled(field, c):
+    return BackgroundField(
+        coeffs=tuple(c * k for k in field.coeffs), degree=field.degree, amplitude=c * field.amplitude,
+        seed=field.seed, attempt=field.attempt,
+    )
+
+
+def test_sign_certificate_refuses_near_fold():
+    # scaling the off-regime field of seed 53 (L = 0.4) by c moves two of
+    # its (2,1) roots together until they merge near c = 1.89.  Next to
+    # the fold the pair carries opposite signs; their merge point, a
+    # near-double root of the quartic, still passes the defect
+    # certificate, but its Jacobian is singular and its sign is refused.
+    field, cfg, _, _, _ = _oracle_cell(53, 1.0, 0.4)
+
+    def roots_21(c):
+        recs, td, scale = _all_roots(_scaled(field, c), cfg)
+        return [r for r in recs if r.pairing == (2, 1)], td, scale
+
+    lo, hi = 1.85, 1.95
+    assert len(roots_21(lo)[0]) == 4 and len(roots_21(hi)[0]) == 2
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if len(roots_21(mid)[0]) == 4:
+            lo = mid
+        else:
+            hi = mid
+    near = _scaled(field, lo)
+    (_, a, b, _), td, scale = roots_21(lo)
+    assert orientation_sign(near, cfg, a) == -orientation_sign(near, cfg, b)
+
+    y = 0.5 * (a.gluing.center + b.gluing.center)
+    m = unit_quat_to_rotation(quat_normalize(y - cfg.p)) @ td.m_p[1].T
+    field_values = (eval_background(near, cfg.p), eval_background(near, cfg.q))
+    merged = _build_record(field_values, cfg, SolverConfig(), td, (2, 1), y, 0.5 * (a.gluing.scale + b.gluing.scale), m, scale, np.inf)
+    assert merged is not None
+    with pytest.raises(NearDegenerateError, match="sign margin"):
+        orientation_sign(near, cfg, merged)
+
+
+def _reference_orientation_jacobian(field, cfg, rec, step):
+    # the per-record loop orientation_sign used before the batch: all eight
+    # columns by central differences, rotation through quat_from_rotation_vector
+    f0 = (eval_background(field, cfg.p), eval_background(field, cfg.q))
+    y0, lam0, m0 = rec.gluing.center, rec.gluing.scale, rec.gluing.angle
+    f_p, f_q = _glued_pair(f0, cfg, y0, lam0, m0)
+    chart_p, chart_q = build_defect_chart(f_p), build_defect_chart(f_q)
+
+    def phi(u):
+        m = m0 @ unit_quat_to_rotation(quat_from_rotation_vector(u[5:8]))
+        g_p, g_q = _glued_pair(f0, cfg, y0 + u[:4], lam0 * np.exp(u[4]), m)
+        return np.concatenate([chart_p.value(g_p), chart_q.value(g_q)])
+
+    jac = np.empty((8, 8))
+    for k in range(8):
+        e = np.zeros(8)
+        e[k] = step
+        jac[:, k] = (phi(e) - phi(-e)) / (2.0 * step)
+    return jac
+
+
+@pytest.mark.parametrize("seed,amplitude,L", [(2, AMP, 0.1), (198801500, AMP, 0.05), (53, 1.0, 0.4)])
+def test_batched_sign_jacobian_matches_per_record_loop(seed, amplitude, L):
+    field, cfg, _, field_values, _ = _oracle_cell(seed, amplitude, L)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CountAnomalyWarning)
+        recs = enumerate_solutions(field, cfg, SolverConfig())
+    jac = _sign_jacobians(
+        field_values, cfg, np.array([r.gluing.center for r in recs]), np.array([r.gluing.scale for r in recs]),
+        np.array([r.gluing.angle for r in recs]), 1e-5,
+    )[0]
+    for rec, batched in zip(recs, jac):
+        want = _reference_orientation_jacobian(field, cfg, rec, 1e-5)
+        assert np.linalg.norm(batched - want) <= 1e-6 * np.linalg.norm(want)
+        assert rec.sign == np.sign(np.linalg.det(want))
+
+
+def test_oracle_drops_overflowing_starts():
+    # scales of 1e200 and 1e300 overflow the glued matrices; they must not
+    # reach the frame SVD, and the one good start still converges
+    field, cfg, _, _, scale = _oracle_cell(2, AMP, 0.1)
+    sc = SolverConfig()
+    want = enumerate_solutions(field, cfg, sc)[0]
+    quat = rotation_to_quat_pair(want.gluing.angle)[0]
+    y = np.tile(want.gluing.center, (4, 1))
+    lam = np.array([1e200, want.gluing.scale * (1.0 + 1e-3), 1e300, 1e200])
+    found = oracle_enumerate(field, cfg, sc, seed_override=(y, lam, np.tile(quat, (4, 1))))
+    assert compare_solution_sets(found, [want]) == []
+    assert found[0].defect_norm <= sc.newton_tol * scale and found[0].sign == 1
