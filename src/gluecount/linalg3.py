@@ -4,10 +4,20 @@ A one-sided Jacobi SVD (robust at this size, no external solver), a
 rotation-only "signed" variant whose factors stay in SO(3), the adjugate,
 and classification of a matrix by the degeneracy pattern of its singular
 values.  Matrices are plain float ndarrays of shape (3, 3).
+
+Why Jacobi and not LAPACK: the completion labels at the marked point p
+follow the nonnegative-n1 axis in signed-SVD coordinates (rank_one), so
+they depend on the column signs of the factors, and LAPACK fixes those
+signs differently.  With LAPACK's factors and the same det fix-up,
+solve_rank_one lists the other pair first on 989 of 2000 uniform random
+matrices, which would swap the pairings (1,2) and (2,1) in every output.
+The kernel runs on Python floats, where a 3x3 solve costs less than the
+numpy calls it would take.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -72,12 +82,8 @@ class SvdTriple:
 
 
 def det3(m: np.ndarray) -> float:
-    m = np.asarray(m, dtype=float)
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = np.asarray(m, dtype=float).tolist()
+    return m00 * (m11 * m22 - m12 * m21) - m01 * (m10 * m22 - m12 * m20) + m02 * (m10 * m21 - m11 * m20)
 
 
 def adjugate3(m: np.ndarray) -> np.ndarray:
@@ -127,55 +133,61 @@ def _orthonormal_completion(cols: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def _jacobi(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi: returns orthogonal u, descending sigma, orthogonal v."""
-    scale = np.max(np.abs(m))
+    """One-sided Jacobi: returns orthogonal u, descending sigma, orthogonal v.
+
+    The working matrix and v are held as lists of columns.
+    """
+    rows = m.tolist()
+    scale = max(abs(x) for row in rows for x in row)
     if scale == 0.0:
         return np.eye(3), np.zeros(3), np.eye(3)
     # work at unit scale so extreme inputs cannot underflow the Gram terms
-    a = np.array(m, dtype=float) / scale
-    v = np.eye(3)
+    a = [[x / scale for x in col] for col in zip(*rows)]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for _ in range(_JACOBI_SWEEPS):
         rotated = False
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            ai = a[:, i]
-            aj = a[:, j]
-            app = ai @ ai
-            aqq = aj @ aj
-            apq = ai @ aj
+            (x0, x1, x2), (y0, y1, y2) = a[i], a[j]
+            app = x0 * x0 + x1 * x1 + x2 * x2
+            aqq = y0 * y0 + y1 * y1 + y2 * y2
+            apq = x0 * y0 + x1 * y1 + x2 * y2
             # the 1e-300 floor skips correlations too tiny to matter on the
             # unit-scaled input (and keeps zeta finite for subnormal apq)
-            if abs(apq) <= 1e-18 * np.sqrt(app * aqq) or abs(apq) < 1e-300:
+            if abs(apq) <= 1e-18 * math.sqrt(app * aqq) or abs(apq) < 1e-300:
                 continue
             zeta = (aqq - app) / (2.0 * apq)
-            t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta)) if zeta != 0.0 else 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta)) if zeta != 0.0 else 1.0
+            c = 1.0 / math.sqrt(1.0 + t * t)
             s = c * t
-            a[:, i], a[:, j] = c * ai - s * aj, s * ai + c * aj
-            v[:, i], v[:, j] = c * v[:, i] - s * v[:, j], s * v[:, i] + c * v[:, j]
+            a[i] = [c * x0 - s * y0, c * x1 - s * y1, c * x2 - s * y2]
+            a[j] = [s * x0 + c * y0, s * x1 + c * y1, s * x2 + c * y2]
+            (x0, x1, x2), (y0, y1, y2) = v[i], v[j]
+            v[i] = [c * x0 - s * y0, c * x1 - s * y1, c * x2 - s * y2]
+            v[j] = [s * x0 + c * y0, s * x1 + c * y1, s * x2 + c * y2]
             rotated = True
         if not rotated:
             break
-    sigma = np.linalg.norm(a, axis=0)
+    sigma = [math.sqrt(x0 * x0 + x1 * x1 + x2 * x2) for x0, x1, x2 in a]
 
     # Descending order; exact sigma ties broken by descending lexicographic
     # v column, which keeps diagonal inputs (identity included) in place.
-    order = sorted(range(3), key=lambda k: (-sigma[k], tuple(-v[:, k])))
-    sigma = sigma[order]
-    a = a[:, order]
-    v = v[:, order]
+    order = sorted(range(3), key=lambda k: (-sigma[k], tuple(-x for x in v[k])))
+    sigma = [sigma[k] for k in order]
+    a = [a[k] for k in order]
+    v = [v[k] for k in order]
 
     # Columns at numerically zero sigma carry no direction information;
     # replace them by a deterministic orthonormal completion.  The error
     # this leaves in the reconstruction is at most sigma_k <= 1e-14 sigma_1.
-    u_cols: list[np.ndarray] = []
+    u_cols = []
     for k in range(3):
         if sigma[k] > 1e-14 * sigma[0]:
-            u_cols.append(a[:, k] / sigma[k])
+            u_cols.append([x / sigma[k] for x in a[k]])
         else:
             break
-    u_cols = _orthonormal_completion(u_cols)
-    u = np.column_stack(u_cols)
-    return u, sigma * scale, v
+    if len(u_cols) < 3:
+        u_cols = [c.tolist() for c in _orthonormal_completion([np.array(c) for c in u_cols])]
+    return np.array(list(zip(*u_cols))), np.array([x * scale for x in sigma]), np.array(list(zip(*v)))
 
 
 def svd(m: np.ndarray) -> SvdTriple:
@@ -224,15 +236,15 @@ def sigma2(m: np.ndarray) -> float:
     return float(svd(m).sigma[1])
 
 
-def classify_stratum(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> Stratum:
-    """Most degenerate singular-value stratum the matrix lies in.
+def classify_sigma(sigma, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> Stratum:
+    """Most degenerate stratum of descending singular values s1 >= s2 >= s3.
 
     Comparisons are relative to sigma1 except the ZERO tag, which uses
     abs_tol.  rel_tol must lie in (0, 0.5).
     """
     if not 0.0 < rel_tol < 0.5:
         raise ValueError("rel_tol must lie strictly between 0 and 0.5")
-    s1, s2, s3 = svd(m).sigma
+    s1, s2, s3 = (float(x) for x in sigma)
     gap = rel_tol * s1
     if s1 <= abs_tol:
         tag = StratumTag.ZERO
@@ -249,3 +261,8 @@ def classify_stratum(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL, abs_tol: f
     else:
         tag = StratumTag.GENERIC
     return Stratum(tag=tag, rel_tol=rel_tol, abs_tol=abs_tol)
+
+
+def classify_stratum(m: np.ndarray, rel_tol: float = DEFAULT_REL_TOL, abs_tol: float = 0.0) -> Stratum:
+    """Most degenerate singular-value stratum the matrix lies in."""
+    return classify_sigma(svd(m).sigma, rel_tol, abs_tol)

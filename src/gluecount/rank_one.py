@@ -27,8 +27,7 @@ from .linalg3 import (
     StratumTag,
     adjugate3,
     batched_singular_values,
-    classify_stratum,
-    sigma2,
+    classify_sigma,
     svd_signed,
 )
 from .rotations import (
@@ -100,13 +99,15 @@ def solve_rank_one_reduced(sigma: np.ndarray, det_sign: int) -> list[np.ndarray]
     return [_half_turn(np.array([n1, 0.0, n3])), _half_turn(np.array([-n1, 0.0, n3]))]
 
 
-def _certified_pair(p: np.ndarray, s: float, m: np.ndarray, scale: float) -> RankOnePair:
-    residual = sigma2(p + s * m)
-    if residual > RESIDUAL_FACTOR * scale:
+def _certified_pairs(p: np.ndarray, s: float, mats: list[np.ndarray], scale: float) -> tuple[RankOnePair, ...]:
+    """The pairs (s, M), each certified by the sigma2 residual of P + s*M (one batched SVD)."""
+    residuals = batched_singular_values(p + s * np.array(mats))[:, 1]
+    worst = float(np.max(residuals))
+    if not worst <= RESIDUAL_FACTOR * scale:
         raise CertificationError(
-            f"rank-one residual {residual:.3e} exceeds {RESIDUAL_FACTOR:.0e} * sigma1 = {RESIDUAL_FACTOR * scale:.3e}"
+            f"rank-one residual {worst:.3e} exceeds {RESIDUAL_FACTOR:.0e} * sigma1 = {RESIDUAL_FACTOR * scale:.3e}"
         )
-    return RankOnePair(s=s, m=m, residual=residual)
+    return tuple(RankOnePair(s=s, m=m, residual=float(r)) for m, r in zip(mats, residuals))
 
 
 def solve_rank_one(p: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> RankOneOutcome:
@@ -115,28 +116,28 @@ def solve_rank_one(p: np.ndarray, rel_tol: float = DEFAULT_REL_TOL) -> RankOneOu
     Generic input yields two certified pairs (nonnegative-n1 solution
     first), a top or bottom singular-value tie yields the single
     double-root pair, and every other stratum is reported as degenerate
-    with no pairs rather than raising.
+    with no pairs rather than raising.  One signed Jacobi SVD serves the
+    stratum, the closed form and the certificate's scale.
     """
     p = np.asarray(p, dtype=float)
-    stratum = classify_stratum(p, rel_tol)
     fac = svd_signed(p)
+    tag = classify_sigma(fac.sigma, rel_tol).tag
     s1 = float(fac.sigma[0])
     s = float(fac.sigma[1])
 
-    if stratum.tag == StratumTag.GENERIC:
+    if tag == StratumTag.GENERIC:
+        kind = OutcomeKind.TWO_DISTINCT
         reduced = solve_rank_one_reduced(fac.sigma, fac.det_sign)
-        pairs = tuple(_certified_pair(p, s, fac.u @ mp @ fac.v.T, s1) for mp in reduced)
-        return RankOneOutcome(OutcomeKind.TWO_DISTINCT, pairs, stratum.tag)
-
-    if stratum.tag in (StratumTag.TOP_PAIR_EQUAL, StratumTag.BOTTOM_PAIR_EQUAL):
+    elif tag in (StratumTag.TOP_PAIR_EQUAL, StratumTag.BOTTOM_PAIR_EQUAL):
         # The tied pair is nonzero on these strata, so the axis formula
         # degenerates cleanly to a single half-turn.
+        kind = OutcomeKind.DOUBLE_ROOT
         n1sq = _axis_component(s1, s, float(fac.sigma[2]), fac.det_sign)
-        n = np.array([np.sqrt(n1sq), 0.0, np.sqrt(1.0 - n1sq)])
-        pair = _certified_pair(p, s, fac.u @ _half_turn(n) @ fac.v.T, s1)
-        return RankOneOutcome(OutcomeKind.DOUBLE_ROOT, (pair,), stratum.tag)
-
-    return RankOneOutcome(OutcomeKind.DEGENERATE, (), stratum.tag)
+        reduced = [_half_turn(np.array([np.sqrt(n1sq), 0.0, np.sqrt(1.0 - n1sq)]))]
+    else:
+        return RankOneOutcome(OutcomeKind.DEGENERATE, (), tag)
+    mats = [fac.u @ mp @ fac.v.T for mp in reduced]
+    return RankOneOutcome(kind, _certified_pairs(p, s, mats, s1), tag)
 
 
 def _rank_one_defect(p: np.ndarray, s: float, quats: np.ndarray) -> np.ndarray:

@@ -269,10 +269,16 @@ def _build_record(
     m: np.ndarray,
     scale: float,
     cutoff: float,
+    defect: float | None = None,
 ) -> SolutionRecord | None:
-    """Certify a candidate on the full defect; None when certification fails."""
-    f_p, f_q = _glued_pair(field_values, cfg, y, lam, m)
-    defect = float(max(batched_singular_values(f_p)[1], batched_singular_values(f_q)[1]))
+    """Certify a candidate on the full defect; None when certification fails.
+
+    The defect (larger sigma2 of the two glued matrices) is computed here
+    unless the caller already has it from a stacked certification.
+    """
+    if defect is None:
+        f_p, f_q = _glued_pair(field_values, cfg, y, lam, m)
+        defect = float(max(batched_singular_values(f_p)[1], batched_singular_values(f_q)[1]))
     if defect > sc.newton_tol * scale:
         return None
     small_branch = lam < 0.5 / np.sqrt(td.s_p)
@@ -695,7 +701,7 @@ def _certified_records(field_values, cfg, sc, td, y, loglam, quats, scale, cutof
 
     Pairing labels, the full-defect certificate, the ordering and the
     greedy dedupe all run on the whole stack; only the kept rows become
-    records through _build_record.
+    records through _build_record, which takes their defect from the stack.
     """
     lam = np.exp(loglam)
     mats = unit_quat_to_rotation(quat_normalize(quats))
@@ -714,7 +720,7 @@ def _certified_records(field_values, cfg, sc, td, y, loglam, quats, scale, cutof
     records = []
     for k in rows:
         pairing = (int(pairs[k, 0]), int(pairs[k, 1]))
-        rec = _build_record(field_values, cfg, sc, td, pairing, y[k], float(lam[k]), mats[k], scale, cutoff)
+        rec = _build_record(field_values, cfg, sc, td, pairing, y[k], float(lam[k]), mats[k], scale, cutoff, float(defect[k]))
         if rec is not None:
             records.append(rec)
     return records

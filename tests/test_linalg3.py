@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gluecount.linalg3 import (
+    _JACOBI_SWEEPS,
     StratumTag,
+    _jacobi,
+    _orthonormal_completion,
     adjugate3,
     batched_singular_values,
     classify_stratum,
@@ -184,3 +187,84 @@ def test_adjugate_matches_cross_product_reference():
         assert got.shape == m.shape
         assert np.array_equal(got, reference_adjugate(m), equal_nan=True)
     assert np.isnan(adjugate3(ms[7])).any()
+
+
+def reference_jacobi(m):
+    # the numpy kernel that _jacobi replaced, kept as its reference
+    scale = np.max(np.abs(m))
+    if scale == 0.0:
+        return np.eye(3), np.zeros(3), np.eye(3)
+    a = np.array(m, dtype=float) / scale
+    v = np.eye(3)
+    for _ in range(_JACOBI_SWEEPS):
+        rotated = False
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            ai = a[:, i]
+            aj = a[:, j]
+            app = ai @ ai
+            aqq = aj @ aj
+            apq = ai @ aj
+            if abs(apq) <= 1e-18 * np.sqrt(app * aqq) or abs(apq) < 1e-300:
+                continue
+            zeta = (aqq - app) / (2.0 * apq)
+            t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta)) if zeta != 0.0 else 1.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = c * t
+            a[:, i], a[:, j] = c * ai - s * aj, s * ai + c * aj
+            v[:, i], v[:, j] = c * v[:, i] - s * v[:, j], s * v[:, i] + c * v[:, j]
+            rotated = True
+        if not rotated:
+            break
+    sigma = np.linalg.norm(a, axis=0)
+    order = sorted(range(3), key=lambda k: (-sigma[k], tuple(-v[:, k])))
+    sigma = sigma[order]
+    a = a[:, order]
+    v = v[:, order]
+    u_cols = []
+    for k in range(3):
+        if sigma[k] > 1e-14 * sigma[0]:
+            u_cols.append(a[:, k] / sigma[k])
+        else:
+            break
+    u = np.column_stack(_orthonormal_completion(u_cols))
+    return u, sigma * scale, v
+
+
+def assert_matches_reference(m, vector_tol, v_cols=3):
+    # vector_tol bounds u and the first v_cols columns of v entrywise; at
+    # that size it also pins the column order and the column signs
+    u_ref, s_ref, v_ref = reference_jacobi(m)
+    u, s, v = _jacobi(m)
+    assert np.max(np.abs(s - s_ref)) <= 1e-15 * s_ref[0]
+    assert np.max(np.abs(u - u_ref)) <= vector_tol
+    assert np.max(np.abs(v[:, :v_cols] - v_ref[:, :v_cols])) <= vector_tol
+    assert np.max(np.abs(v.T @ v - np.eye(3))) < 1e-14
+
+
+def test_jacobi_matches_numpy_reference_on_random_matrices():
+    # The two kernels round their dot products differently (numpy's is a
+    # fused multiply-add chain on some BLAS builds), a few ulps of sigma1
+    # of backward error; singular vectors move by that over the smallest
+    # singular-value gap, so the bound is 1e-14 widened by 1e-15 sigma1 / gap.
+    rng = np.random.default_rng(0)
+    ms = rng.uniform(-1.0, 1.0, (3000, 3, 3))
+    for k, m in enumerate(ms):
+        sv = reference_jacobi(m)[1]
+        gap = min(sv[0] - sv[1], sv[1] - sv[2])
+        tol = max(1e-14, 1e-15 * sv[0] / gap)
+        assert_matches_reference(m, tol)
+        if k % 10 == 0:
+            assert_matches_reference(1e200 * m, tol)
+            assert_matches_reference(1e-200 * m, tol)
+
+
+def test_jacobi_matches_numpy_reference_on_structured_matrices():
+    for m in (np.eye(3), np.diag([2.0, 2.0, 1.0]), np.zeros((3, 3)), np.array([[3.0, 0, 0], [6.1e-5, 0, 0], [0, 0, 0]])):
+        assert_matches_reference(m, 1e-14)
+        assert_matches_reference(1e200 * m, 1e-14)
+        assert_matches_reference(1e-200 * m, 1e-14)
+    # rank one: the two null columns of v are any orthonormal basis of the
+    # null space, picked by rounding noise in either kernel
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        assert_matches_reference(np.outer(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)), 1e-14, v_cols=1)

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gluecount import linalg3, rank_one
 from gluecount.linalg3 import StratumTag, classify_stratum, sigma2, singular_values
 from gluecount.rank_one import (
     ORACLE_DEDUPE_ANGLE,
+    CertificationError,
     OracleInconclusiveError,
     OutcomeKind,
     _gauss_newton_quats,
@@ -119,6 +121,57 @@ def test_double_roots():
     assert top.pairs[0].residual <= 1e-9 * 2.0
     bottom = solve_rank_one(np.diag([3.0, 2.0, 2.0]))
     assert bottom.kind == OutcomeKind.DOUBLE_ROOT and len(bottom.pairs) == 1
+
+
+# one matrix of every stratum family in tests/test_linalg3.py::test_classify_*, with its rel_tol
+STRATUM_FAMILIES = [
+    (np.diag([3.0, 2.0, 1.0]), 1e-6),
+    (5.0 * sample_rotation(np.random.default_rng(6)), 1e-6),
+    (np.outer(*np.random.default_rng(7).uniform(-1, 1, (2, 3))), 1e-6),
+    (np.zeros((3, 3)), 1e-8),
+    (np.diag([2.0, 2.0, 1.0]), 1e-8),
+    (np.diag([3.0, 2.0, 2.0]), 1e-8),
+    (np.diag([3.0, 2.0, 0.0]), 1e-8),
+    (np.diag([2.0, 2.0, 0.0]), 1e-8),
+    (np.diag([1.0, 1e-12, 1e-13]), 1e-8),
+    (np.diag([1.0, 1.0 - 2.1e-3, 1.0 - 4.2e-3]), 1e-3),
+    (np.diag([1.0, 1.0 - 0.9e-3, 0.5]), 1e-3),
+]
+
+
+@pytest.mark.parametrize("m,rel_tol", STRATUM_FAMILIES)
+def test_solve_stratum_matches_classify(m, rel_tol):
+    assert solve_rank_one(m, rel_tol).stratum == classify_stratum(m, rel_tol).tag
+
+
+def test_one_jacobi_svd_per_solve(monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(1)
+        return jacobi(m)
+
+    jacobi = linalg3._jacobi
+    monkeypatch.setattr(linalg3, "_jacobi", counted)
+    rng = np.random.default_rng(11)
+    matrices = [rng.uniform(-1.0, 1.0, (3, 3)) for _ in range(20)] + [m for m, _ in STRATUM_FAMILIES]
+    for m in matrices:
+        before = len(calls)
+        solve_rank_one(m)
+        assert len(calls) - before == 1
+
+
+def test_certificate_still_fires(monkeypatch):
+    m = np.diag([3.0, 2.0, 1.0])
+    reduced = rank_one.solve_rank_one_reduced
+
+    def wrong_rotation(sigma, det_sign):
+        good, other = reduced(sigma, det_sign)
+        return [good @ quat_to_rotation(quat_from_rotation_vector(np.array([0.0, 1e-3, 0.0]))), other]
+
+    monkeypatch.setattr(rank_one, "solve_rank_one_reduced", wrong_rotation)
+    with pytest.raises(CertificationError, match="rank-one residual"):
+        solve_rank_one(m)
 
 
 def test_two_distinct_iff_generic():

@@ -442,6 +442,28 @@ def test_certified_records_match_per_start_path():
     _assert_same_records(got, _reference_certified_records(*args))
 
 
+def test_build_record_same_with_passed_or_computed_defect():
+    # _certified_records passes each kept row's stack defect; reference_case
+    # leaves _build_record to compute it
+    _, cfg, td, field_values, scale = _oracle_cell(2, AMP, 0.1)
+    sc = SolverConfig()
+    cutoff = sc.K * cfg.L**sc.alpha
+    got = _certified_records(field_values, cfg, sc, td, *_branch_candidates(cfg, td, cutoff), scale, cutoff)
+    assert len(got) >= 6
+    computed = [
+        _build_record(field_values, cfg, sc, td, r.pairing, r.gluing.center, r.gluing.scale, r.gluing.angle, scale, cutoff)
+        for r in got
+    ]
+    _assert_same_records(got, computed)
+
+    field, cfg, rec = reference_case(0.1)
+    field_values = (eval_background(field, cfg.p), eval_background(field, cfg.q))
+    scale = float(batched_singular_values(field_values[0])[0])
+    g = rec.gluing
+    passed = _build_record(field_values, cfg, sc, targets(field, cfg), rec.pairing, g.center, g.scale, g.angle, scale, np.inf, rec.defect_norm)
+    _assert_same_records([rec], [passed])
+
+
 def test_dedupe_records_matches_pairwise_loop_across_pairings():
     rng = np.random.default_rng(8)
     radius = 1e-6
